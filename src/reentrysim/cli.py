@@ -18,6 +18,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import sys
 
@@ -104,7 +105,10 @@ _SCHEMA = {
 def _cast(section: str, key: str, kind: str, raw: str, source: str):
     try:
         if kind == _FLOAT:
-            return float(raw)
+            value = float(raw)
+            if not math.isfinite(value):
+                raise ValueError(f"not a finite number: {raw.strip()!r}")
+            return value
         if kind == _INT:
             return int(raw, 10)
         if kind == _BOOL:
@@ -131,6 +135,8 @@ def _parse_sites(text: str, source: str) -> tuple:
         pos, sep, kind = entry.partition(":")
         try:
             x = float(pos)
+            if not math.isfinite(x):
+                raise ValueError(f"not a finite number: {pos.strip()!r}")
         except ValueError as err:
             raise ConfigError(
                 f"{source}: bad site entry {entry!r} in [interceptors], want 'x:kind'"

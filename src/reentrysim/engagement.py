@@ -114,11 +114,6 @@ class GaussianStream:
         return mu + sigma * z
 
 
-def gaussian_sample(stream: GaussianStream, mu: float, sigma: float) -> float:
-    """One draw from N(mu, sigma^2) on the given stream."""
-    return stream.gaussian(mu, sigma)
-
-
 @dataclass(frozen=True)
 class NoiseConfig:
     seeker_angle_sigma: float = 0.0        # rad, boresight error per evaluation

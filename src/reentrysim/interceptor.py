@@ -24,11 +24,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from math import exp, isfinite
 from typing import NamedTuple, Sequence
 
 from .aero import DragModel, interceptor_drag_model
 from .atmosphere import DEFAULT_ATMOSPHERE, AtmosphereModel
-from .dynamics import G0, InterceptorState, VehicleState, rk4_step
+from .dynamics import G0, InterceptorState, VehicleState, _upper_bound_rows, rk4_step
 from .errors import ConfigError, DomainError
 
 # Fitted against the reference firing tables; see calibrate_type1/2.
@@ -57,7 +58,6 @@ class InterceptorSpec:
     drag: DragModel = field(default_factory=interceptor_drag_model)
     lag_time: float = 0.5     # s, load-factor lag
     launch_speed: float = 30.0  # m/s leaving the rail
-    v_max_nominal: float = 1600.0  # m/s, used by evasion sizing heuristics
     nav_gain: float = 4.0
     u_max: float = 25.0       # g, structural limit
 
@@ -116,7 +116,6 @@ def type1_spec(thrust: float = TYPE1_THRUST, wing_area: float = TYPE1_WING_AREA)
         burnout_mass=burnout,
         stages=((0.0, burn_time, thrust, flow),),
         wing_area=wing_area,
-        v_max_nominal=1600.0,
     )
 
 
@@ -142,7 +141,6 @@ def type2_spec(
         burnout_mass=burnout,
         stages=stages,
         wing_area=wing_area,
-        v_max_nominal=700.0,
     )
 
 
@@ -177,16 +175,52 @@ def pinned_pitch_profile(
     accumulates distance flown, whatever the pitch.
     """
     sin_t = math.sin(theta)
+    rho0 = env.rho0
+    k_decay = env.k_decay
+    vs_rows, cx_rows = _upper_bound_rows(env, spec.drag)
+    cx_floor = spec.drag.cx_floor
+    mach_cap = spec.drag.mach_cap
+    wing_area = spec.wing_area
+    stages = spec.stages
+    burnout_mass = spec.burnout_mass
 
+    # AtmosphereModel.density/mach and DragModel.cx inlined, as in
+    # make_interceptor_rhs, but with the readable model's arithmetic so reach
+    # tables and calibrations keep its bits: ``hc / 1000.0`` (that RHS's
+    # ``* 0.001`` differs in the last bit for about one altitude in eight),
+    # and the drag as ``cx * rho * va * va * wing_area / 2.0`` in that order.
     def rhs(t, y, _u):
         v, h, mass, _path = y
-        thrust, flow = spec.thrust_and_flow(t)
-        if mass <= spec.burnout_mass:
-            thrust, flow = 0.0, 0.0
+        thrust = 0.0
+        flow = 0.0
+        if mass > burnout_mass:
+            for t_start, t_end, stage_thrust, stage_flow in stages:
+                if t_start <= t < t_end:
+                    thrust = stage_thrust
+                    flow = stage_flow
+                    break
         va = v if v > 0.0 else 0.0  # stage predictions may dip below zero
-        rho = env.density(h)
-        cx = spec.drag.cx(env.mach(va, h))
-        drag = cx * rho * va * va * spec.wing_area / 2.0
+        if not isfinite(h):
+            raise DomainError(f"altitude must be finite, got {h}")
+        if not isfinite(va):
+            raise DomainError(f"speed must be finite and >= 0, got {va}")
+        hc = h if h > 0.0 else 0.0
+        rho = rho0 * exp(-k_decay * hc)
+        h_km = hc / 1000.0
+        for hi, base, slope, ref in vs_rows:
+            if h_km < hi:
+                vs = base + slope * (h_km - ref)
+                break
+        m = va / vs
+        if m > mach_cap:
+            m = mach_cap
+        for m_high, c2, c1, c0 in cx_rows:
+            if m < m_high:
+                cx = (c2 * m + c1) * m + c0
+                if cx < cx_floor:
+                    cx = cx_floor
+                break
+        drag = cx * rho * va * va * wing_area / 2.0
         return ((thrust - drag) / mass - g * sin_t, v * sin_t, -flow, v)
 
     y = (spec.launch_speed, y0, spec.initial_mass, 0.0)
@@ -439,8 +473,6 @@ TYPE2_KILL_TABLE = KillTable(
         (1700.0, 0.3),
     ),
 )
-
-KILL_TABLES = {"type-1": TYPE1_KILL_TABLE, "type-2": TYPE2_KILL_TABLE}
 
 SPEED_ATTENUATION_THRESHOLD = 1500.0  # m/s
 

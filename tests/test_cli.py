@@ -81,6 +81,20 @@ kill_radius = 25
         with pytest.raises(ConfigError, match="type-9"):
             parse_scenario(path)
 
+    @pytest.mark.parametrize("raw", ["inf", "nan", "-inf", " Infinity"])
+    def test_non_finite_number_names_the_key_and_section(self, tmp_path, raw):
+        path = write(tmp_path / "s.ini", f"[vehicle]\nentry_altitude = {raw}\n")
+        with pytest.raises(ConfigError) as err:
+            parse_scenario(path)
+        assert "entry_altitude" in str(err.value)
+        assert "[vehicle]" in str(err.value)
+        assert "finite" in str(err.value)
+
+    def test_non_finite_site_position_rejected(self, tmp_path):
+        path = write(tmp_path / "s.ini", "[interceptors]\nsites = nan:type-2\n")
+        with pytest.raises(ConfigError, match="interceptors"):
+            parse_scenario(path)
+
 
 class TestCommands:
     def test_fly_writes_a_trajectory(self, tmp_path, capsys):
@@ -154,6 +168,14 @@ class TestCommands:
     def test_missing_scenario_file(self, tmp_path, capsys):
         assert main(["fly", "--scenario", str(tmp_path / "nope.ini"), "--out", str(tmp_path)]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("raw", ["inf", "nan"])
+    def test_fly_rejects_a_non_finite_entry_altitude(self, tmp_path, capsys, raw):
+        ini = write(tmp_path / "s.ini", f"[vehicle]\nentry_altitude = {raw}\n")
+        assert main(["fly", "--scenario", ini, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "entry_altitude" in err and "[vehicle]" in err
+        assert not (tmp_path / "o" / "trajectory.csv").exists()
 
     def test_config_errors_exit_nonzero(self, tmp_path, capsys):
         ini = write(tmp_path / "s.ini", "[batch]\ndt = 0\n")

@@ -1,7 +1,10 @@
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
+
+from reentrysim import interceptor
 
 from reentrysim.atmosphere import AtmosphereModel, DEFAULT_ATMOSPHERE
 from reentrysim.dynamics import (
@@ -20,7 +23,7 @@ from reentrysim.dynamics import (
     _rk4_generic,
 )
 from reentrysim.errors import ConfigError, IntegrationAbort
-from reentrysim.interceptor import type1_spec
+from reentrysim.interceptor import pinned_pitch_profile, type1_spec, type2_spec
 
 VACUUM = AtmosphereModel(
     rho0=0.0,
@@ -159,6 +162,36 @@ def test_unrolled_interceptor_step_matches_the_generic_step(t, v, theta, y, n, u
     assert bits(rk4_step(rhs, t, s, u, 0.02)) == bits(_rk4_generic(rhs, t, s, u, 0.02))
 
 
+def profile_rhs(spec, theta):
+    """The 4-state RHS pinned_pitch_profile builds, caught at its first step."""
+    seen = []
+
+    def spy(rhs, t, y, u, dt):
+        seen.append(rhs)
+        return rk4_step(rhs, t, y, u, dt)
+
+    with mock.patch.object(interceptor, "rk4_step", spy):
+        pinned_pitch_profile(spec, theta, 0.02)
+    return seen[0]
+
+
+@given(
+    type2=st.booleans(),
+    theta=st.floats(-1.5, 3.1),
+    t=st.floats(0.0, 40.0),
+    v=st.floats(-20.0, 3000.0),
+    y=st.floats(0.0, 40_000.0),
+    burnt=st.floats(0.0, 1.0),
+    path=st.floats(0.0, 60_000.0),
+)
+def test_unrolled_profile_step_matches_the_generic_step(type2, theta, t, v, y, burnt, path):
+    spec = type2_spec() if type2 else type1_spec()
+    rhs = profile_rhs(spec, theta)
+    mass = spec.initial_mass - burnt * (spec.initial_mass - spec.burnout_mass)
+    s = (v, y, mass, path)
+    assert bits(rk4_step(rhs, t, s, 0.0, 0.02)) == bits(_rk4_generic(rhs, t, s, 0.0, 0.02))
+
+
 def test_unrolled_step_tracks_the_generic_step_along_an_entry():
     rhs = make_vehicle_rhs(VehicleSpec())
     fast = slow = ENTRY.as_vector()
@@ -168,7 +201,7 @@ def test_unrolled_step_tracks_the_generic_step_along_an_entry():
     assert bits(fast) == bits(slow)
 
 
-@pytest.mark.parametrize("size", [7, 8])
+@pytest.mark.parametrize("size", [4, 7, 8])
 @pytest.mark.parametrize("stage", [1, 2, 3, 4])
 def test_unrolled_rk4_names_the_non_finite_stage(size, stage):
     def make_rhs():

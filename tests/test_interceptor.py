@@ -1,15 +1,20 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from reentrysim.atmosphere import DEFAULT_ATMOSPHERE
-from reentrysim.dynamics import G0, InterceptorState, VehicleState
+from reentrysim.dynamics import G0, InterceptorState, VehicleState, _rk4_generic
 from reentrysim.errors import ConfigError, DomainError
 from reentrysim.interceptor import (
     ENGAGEMENT_ZONES,
+    FlightProfile,
+    ProfilePoint,
     ReachTable,
+    TYPE1_CALIBRATION_PITCH,
     TYPE1_KILL_TABLE,
     TYPE1_THRUST,
+    TYPE2_CALIBRATION_PITCH,
     TYPE2_KILL_TABLE,
     TYPE2_SPECIFIC_IMPULSE,
     calibrate_type1,
@@ -98,6 +103,107 @@ class TestClimbProfiles:
         prof = pinned_pitch_profile(T1, 2.321, 30.0, DEFAULT_ATMOSPHERE, G0)
         paths = [p.path for p in prof.points]
         assert all(b > a for a, b in zip(paths, paths[1:]))
+
+
+def readable_profile(spec, theta, t_end, dt=0.02, y0=10.0, seen=None):
+    """pinned_pitch_profile through AtmosphereModel.density/mach,
+    DragModel.cx, spec.thrust_and_flow and the generic RK4 step: the model
+    the inlined kernel must reproduce bit for bit.  ``seen`` collects the
+    drag segments, burnout and the speed clamp that the stages reached."""
+    env, drag_model, g = DEFAULT_ATMOSPHERE, spec.drag, G0
+    sin_t = math.sin(theta)
+
+    def rhs(t, y, _u):
+        v, h, mass, _path = y
+        thrust, flow = spec.thrust_and_flow(t)
+        if mass <= spec.burnout_mass:
+            thrust, flow = 0.0, 0.0
+            if seen is not None:
+                seen.add("burnout")
+        va = v if v > 0.0 else 0.0
+        rho = env.density(h)
+        mach = env.mach(va, h)
+        if seen is not None:
+            seen.add("mach < 0.8" if mach < 0.8 else "mach < 1.2" if mach < 1.2 else "mach >= 1.2")
+            if v <= 0.0:
+                seen.add("v <= 0")
+        cx = drag_model.cx(mach)
+        drag = cx * rho * va * va * spec.wing_area / 2.0
+        return ((thrust - drag) / mass - g * sin_t, v * sin_t, -flow, v)
+
+    y = (spec.launch_speed, y0, spec.initial_mass, 0.0)
+    points = [ProfilePoint(0.0, y[0], y[1], y[2], y[3])]
+    v_peak, t_peak = y[0], 0.0
+    for k in range(round(t_end / dt)):
+        y = _rk4_generic(rhs, k * dt, y, 0.0, dt)
+        t_next = (k + 1) * dt
+        points.append(ProfilePoint(t_next, y[0], y[1], y[2], y[3]))
+        if y[0] > v_peak:
+            v_peak, t_peak = y[0], t_next
+        if y[1] <= 0.0 or y[0] < 1.0:
+            break
+    return FlightProfile(tuple(points), v_peak, t_peak)
+
+
+def profile_bits(prof):
+    return (
+        [tuple(value.hex() for value in point) for point in prof.points],
+        prof.v_peak.hex(),
+        prof.t_peak.hex(),
+    )
+
+
+class TestProfileKernel:
+    """The inlined profile RHS against the readable model, by float.hex."""
+
+    @pytest.mark.parametrize("spec", [T1, T2], ids=["type-1", "type-2"])
+    @pytest.mark.parametrize("theta, t_end", [
+        (TYPE1_CALIBRATION_PITCH, 40.0),
+        (TYPE2_CALIBRATION_PITCH, 40.0),
+        (1.0, 120.0),  # the reach-table elevation
+    ])
+    def test_stock_profiles_are_bit_identical(self, spec, theta, t_end):
+        fast = pinned_pitch_profile(spec, theta, t_end)
+        assert profile_bits(fast) == profile_bits(readable_profile(spec, theta, t_end))
+
+    @pytest.mark.parametrize("args, dt, features", [
+        ((T1, 1.0, 60.0), 0.02, {"mach < 0.8", "mach < 1.2", "mach >= 1.2", "burnout"}),
+        ((type1_spec(thrust=0.0), math.pi / 2, 30.0), 0.5, {"v <= 0"}),
+    ])
+    def test_the_examples_reach_every_branch(self, args, dt, features):
+        seen = set()
+        readable_profile(*args, dt=dt, seen=seen)
+        assert features <= seen
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        type2=st.booleans(),
+        theta=st.floats(-0.3, 3.1),
+        t_end=st.floats(0.5, 60.0),
+        knob=st.floats(0.0, 2.0),
+        wing_area=st.floats(0.3, 3.0),
+        dt=st.sampled_from([0.02, 0.02, 0.1, 0.5]),
+    )
+    @example(type2=False, theta=1.0, t_end=60.0, knob=1.0, wing_area=1.4126, dt=0.02)
+    @example(type2=False, theta=math.pi / 2, t_end=30.0, knob=0.0, wing_area=1.0, dt=0.5)
+    # a slow subsonic climb where ``h * 0.001`` in place of ``h / 1000.0`` moves bits
+    @example(type2=True, theta=0.2086513517750534, t_end=43.944845278226545,
+             knob=0.20653002341425042, wing_area=0.7204246252434332, dt=0.02)
+    def test_profiles_match_the_readable_model(self, type2, theta, t_end, knob, wing_area, dt):
+        # knob scales the stock thrust (type 1) or specific impulse (type 2)
+        if type2:
+            spec = type2_spec(specific_impulse=knob * TYPE2_SPECIFIC_IMPULSE, wing_area=wing_area)
+        else:
+            spec = type1_spec(thrust=knob * TYPE1_THRUST, wing_area=wing_area)
+        fast = pinned_pitch_profile(spec, theta, t_end, dt=dt)
+        assert profile_bits(fast) == profile_bits(readable_profile(spec, theta, t_end, dt=dt))
+
+    @pytest.mark.parametrize("y0", [math.inf, math.nan])
+    def test_non_finite_launch_altitude_raises(self, y0):
+        with pytest.raises(DomainError, match="altitude"):
+            pinned_pitch_profile(T1, 1.0, 1.0, y0=y0)
+        with pytest.raises(DomainError, match="altitude"):
+            readable_profile(T1, 1.0, 1.0, y0=y0)
 
 
 def _speed_at(prof, t):
