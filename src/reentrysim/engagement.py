@@ -543,8 +543,9 @@ def simulate_engagement(scenario: Scenario, stream: GaussianStream | None = None
                 s = m.state
                 try:
                     s_next = rk4_step(m.rhs, t - m.launch_time, s, m.pn_command(y), dt)
-                except IntegrationAbort:
+                except IntegrationAbort as abort:
                     m.done = True
+                    events.append((t, f"abort:{m.kind}:{abort.reason}"))
                     continue
                 miss, t_off = _step_miss(
                     y[0] - s[0], y[1] - s[1],

@@ -282,19 +282,26 @@ def _fit_profile(
     def v_at(prof, t):
         return prof.points[min(round(t / 0.02), len(prof.points) - 1)].v
 
+    fitted = {}  # area -> (knob, profile); the outer root is usually one of them
+
     def fit_knob(area):
-        return _bisect(
-            lambda k: make_profile(k, area).v_peak - v_peak_target,
-            knob_bounds[0], knob_bounds[1], 1e-6,
-        )
+        if area not in fitted:
+            last = {}  # the latest profile flown, usually the one at the root
+
+            def peak_residual(knob):
+                last.clear()
+                last[knob] = make_profile(knob, area)
+                return last[knob].v_peak - v_peak_target
+
+            knob = _bisect(peak_residual, knob_bounds[0], knob_bounds[1], 1e-6)
+            fitted[area] = (knob, last[knob] if knob in last else make_profile(knob, area))
+        return fitted[area]
 
     def anchor_residual(area):
-        knob = fit_knob(area)
-        return v_at(make_profile(knob, area), anchor_time) - v_anchor_target
+        return v_at(fit_knob(area)[1], anchor_time) - v_anchor_target
 
     area = _bisect(anchor_residual, area_bounds[0], area_bounds[1], 1e-6)
-    knob = fit_knob(area)
-    prof = make_profile(knob, area)
+    knob, prof = fit_knob(area)
     return CalibrationResult(knob, area, prof.v_peak, prof.t_peak, v_at(prof, anchor_time))
 
 

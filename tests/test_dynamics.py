@@ -2,9 +2,9 @@ import math
 from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from reentrysim import interceptor
+from reentrysim import dynamics, interceptor
 
 from reentrysim.atmosphere import AtmosphereModel, DEFAULT_ATMOSPHERE
 from reentrysim.dynamics import (
@@ -21,6 +21,7 @@ from reentrysim.dynamics import (
     specific_energy,
     vehicle_derivatives,
     _rk4_generic,
+    _rk4_step_7,
 )
 from reentrysim.errors import ConfigError, IntegrationAbort
 from reentrysim.interceptor import pinned_pitch_profile, type1_spec, type2_spec
@@ -134,17 +135,121 @@ def bits(vec):
     return [value.hex() for value in vec]
 
 
+def outcome(step, rhs, t, s, u, dt):
+    """A step's result, or its abort's reason, time and state, as bits."""
+    try:
+        return bits(step(rhs, t, s, u, dt))
+    except IntegrationAbort as abort:
+        return (abort.reason, abort.t.hex(), bits(abort.state))
+
+
+SEAMS_M = [hi * 1000.0 for _lo, hi, *_ in DEFAULT_ATMOSPHERE.vs_branches[:-1]]
+LATERAL = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-1e4, 1e4))
+
+
 @given(
-    v=st.floats(50.0, 8000.0),
-    theta=st.floats(-1.5, 1.5),
-    y=st.floats(0.0, 90_000.0),
+    x=st.floats(-1e6, 2e6),
+    v=st.one_of(st.floats(50.0, 8000.0), st.floats(1.0, 10.0)),
+    theta=st.floats(-3.1, 3.1),
+    y=st.one_of(st.floats(-2_000.0, 90_000.0), st.sampled_from(SEAMS_M)),
+    z=LATERAL,
+    w=LATERAL,
     n=st.floats(-10.0, 10.0),
     u=st.floats(-10.0, 10.0),
+    dt=st.sampled_from([0.02, 0.2, 1.0]),
 )
-def test_unrolled_vehicle_step_matches_the_generic_step(v, theta, y, n, u):
+# Mach above the vehicle's cap, at the last speed-of-sound row
+@example(x=0.0, v=7873.0, theta=-0.0442, y=84_109.0, z=-0.0, w=-0.0, n=0.0, u=0.0, dt=0.02)
+# speed below the guard first at stage k2, k3 and k4
+@example(x=0.0, v=1.0, theta=0.5, y=200.0, z=0.0, w=0.0, n=-5.0, u=-10.0, dt=0.02)
+@example(x=0.0, v=3.0, theta=0.5, y=200.0, z=0.0, w=0.0, n=-5.0, u=-10.0, dt=0.5)
+@example(x=0.0, v=1.5, theta=0.5, y=200.0, z=0.0, w=0.0, n=-5.0, u=-10.0, dt=0.2)
+# one of the rare states where ``hc / 1000.0`` for ``hc * 0.001`` moves bits
+@example(x=0.0, v=3134.163060435017, theta=0.6909170071348139, y=3527.3567092330936, z=0.0,
+         w=0.0, n=-5.622532292776348, u=-3.994995987976928, dt=0.02)
+# overflow: in the drag term, in one output, and in the sum only
+@example(x=0.0, v=1e200, theta=-0.1, y=30_000.0, z=0.0, w=0.0, n=0.0, u=0.0, dt=0.02)
+@example(x=1.7976931348623157e308, v=1e300, theta=0.5, y=1e7, z=0.0, w=0.0, n=0.0,
+         u=0.0, dt=0.02)
+@example(x=1e308, v=8000.0, theta=0.0, y=1e308, z=0.0, w=0.0, n=0.0, u=0.0, dt=0.02)
+def test_unrolled_vehicle_step_matches_the_generic_step(x, v, theta, y, z, w, n, u, dt):
     rhs = make_vehicle_rhs(VehicleSpec())
-    s = (1234.5, y, 0.0, v, theta, 0.0, n)
-    assert bits(rk4_step(rhs, 7.0, s, u, 0.02)) == bits(_rk4_generic(rhs, 7.0, s, u, 0.02))
+    s = (x, y, z, v, theta, w, n)
+    assert outcome(rk4_step, rhs, 7.0, s, u, dt) == outcome(_rk4_generic, rhs, 7.0, s, u, dt)
+
+
+def test_rk4_step_takes_the_fused_step_only_on_the_bare_vehicle_rhs():
+    rhs = make_vehicle_rhs(VehicleSpec())
+    y = ENTRY.as_vector()
+    with mock.patch.object(dynamics, "_rk4_step_7", side_effect=AssertionError) as reference:
+        fused = rk4_step(rhs, 0.0, y, 0.5, 0.02)
+        assert not reference.called
+        with pytest.raises(AssertionError):
+            rk4_step(lambda t, y, u: rhs(t, y, u), 0.0, y, 0.5, 0.02)
+    assert bits(fused) == bits(_rk4_step_7(rhs, 0.0, y, 0.5, 0.02))
+
+
+def test_fused_vehicle_step_at_every_speed_of_sound_seam():
+    rhs = make_vehicle_rhs(VehicleSpec())
+    for h in SEAMS_M + [-500.0, 0.0]:
+        for v in (250.0, 900.0, 7873.0):
+            for h_step in (h, math.nextafter(h, -math.inf), math.nextafter(h, math.inf)):
+                # a dive, and level flight at n = u = 1, which holds every
+                # stage at the same altitude
+                for theta, u in ((-0.2, 2.0), (0.0, 1.0)):
+                    s = (0.0, h_step, 0.0, v, theta, 0.0, 1.0)
+                    fused = rk4_step(rhs, 0.0, s, u, 0.02)
+                    assert bits(fused) == bits(_rk4_generic(rhs, 0.0, s, u, 0.02))
+
+
+def reference_rhs_calls(s, u, dt):
+    """How many RHS calls the reference step made before it aborted."""
+    rhs = make_vehicle_rhs(VehicleSpec())
+    calls = []
+
+    def counted(t, y, u):
+        calls.append(t)
+        return rhs(t, y, u)
+
+    with pytest.raises(IntegrationAbort):
+        _rk4_step_7(counted, 0.0, s, u, dt)
+    return len(calls)
+
+
+@pytest.mark.parametrize("calls, x, h, v, dt, reason", [
+    # the speed guard, first crossed at stage k2, k3 and k4
+    (2, 0.0, 200.0, 1.0, 0.02, "speed below guard (1/v singular)"),
+    (3, 0.0, 200.0, 3.0, 0.5, "speed below guard (1/v singular)"),
+    (4, 0.0, 200.0, 1.5, 0.2, "speed below guard (1/v singular)"),
+    # overflow: of the drag term (a -inf speed at k2), of one output, and
+    # of the sum of finite outputs
+    (2, 0.0, 200.0, 1e200, 0.02, "speed below guard (1/v singular)"),
+    (4, 1.7976931348623157e308, 1e7, 1e300, 0.02, "non-finite derivative (y)"),
+    (4, 1e308, 1e308, 8000.0, 0.02, "non-finite state"),
+])
+def test_fused_vehicle_step_replays_each_abort_through_the_reference(calls, x, h, v, dt, reason):
+    s = (x, h, 0.0, v, 0.5, 0.0, -5.0)
+    assert reference_rhs_calls(s, -10.0, dt) == calls
+    rhs = make_vehicle_rhs(VehicleSpec())
+    with pytest.raises(IntegrationAbort) as err:
+        rhs.rk4_step(0.0, s, -10.0, dt)
+    assert err.value.reason == reason
+    assert outcome(rk4_step, rhs, 0.0, s, -10.0, dt) == outcome(_rk4_step_7, rhs, 0.0, s, -10.0, dt)
+
+
+def test_infinite_altitude_aborts_instead_of_crashing():
+    vehicle = make_vehicle_rhs(VehicleSpec())
+    s = (0.0, math.inf, 0.0, 900.0, -0.2, 0.0, 0.0)
+    for step in (rk4_step, _rk4_step_7, _rk4_generic):
+        with pytest.raises(IntegrationAbort) as err:
+            step(vehicle, 3.0, s, 0.0, 0.02)
+        assert err.value.reason == "non-finite altitude"
+        assert err.value.t == 3.0
+    spec = type1_spec()
+    missile = make_interceptor_rhs(spec)
+    with pytest.raises(IntegrationAbort) as err:
+        missile(1.0, (0.0, math.inf, 0.0, 600.0, 1.0, 0.0, 0.0, spec.initial_mass), 0.0)
+    assert err.value.reason == "non-finite altitude"
 
 
 @given(

@@ -2,10 +2,12 @@ import math
 import pickle
 import statistics
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from reentrysim import dynamics, engagement
 from reentrysim.dynamics import IntegratorConfig, VehicleState
 from reentrysim.engagement import (
     GaussianStream,
@@ -167,6 +169,12 @@ class TestVehicleRun:
         b = simulate_vehicle_run(sc, GaussianStream(11).substream(0))
         assert a == b
 
+    def test_infinite_altitude_is_a_failed_run(self):
+        sc = scenario_for_range(615_000)
+        r = simulate_vehicle_run(replace(sc, entry=replace(sc.entry, y=math.inf)))
+        assert r.failed == "non-finite altitude"
+        assert r.events[-1] == (0.0, "failed:non-finite altitude")
+
 
 class TestEngagement:
     def test_needs_a_site(self):
@@ -198,6 +206,17 @@ class TestEngagement:
                 t_kill = next(t for t, l in r.events if l.startswith("intercept:"))
                 assert t_kill > t_launch
         assert hits >= 10
+
+    def test_interceptor_abort_is_recorded_as_an_event(self):
+        sc = terminal_engagement_scenario(700.0, "type-1")
+        with mock.patch.object(engagement._Missile, "pn_command", lambda self, y: math.nan):
+            r = simulate_engagement(sc)
+        labels = [label for _, label in r.events]
+        assert labels[labels.index("launch:type-1") + 1] == (
+            "abort:type-1:speed below guard (1/v singular)"
+        )
+        assert not r.intercepted
+        assert labels[-1] == "touchdown"
 
     def test_evasion_degrades_the_intercept(self):
         base = replace(terminal_engagement_scenario(2000.0, "type-1"), runs=20, noise=CALIBRATED_NOISE)
@@ -239,6 +258,28 @@ class TestBatch:
         (from_batch,) = batch_run_results(sc)
         direct = simulate_vehicle_run(sc, GaussianStream(5).substream(0))
         assert from_batch == direct
+
+    def test_fused_step_matches_the_reference_step_over_a_batch(self):
+        """A wrapped RHS has no fused step, as under the benchmark's timers,
+        so the same batch then runs the reference step."""
+        sc = replace(scenario_for_range(615_000), noise=CALIBRATED_NOISE, runs=4, seed=11)
+        calls = []
+
+        def make_wrapped_rhs(*args, **kwargs):
+            rhs = dynamics.make_vehicle_rhs(*args, **kwargs)
+
+            def wrapped(t, y, u):
+                calls.append(t)
+                return rhs(t, y, u)
+
+            return wrapped
+
+        fused = batch_run_results(sc)
+        assert not calls
+        with mock.patch.object(engagement, "make_vehicle_rhs", make_wrapped_rhs):
+            reference = batch_run_results(sc)
+        assert len(calls) > 4 * 4 * 1000
+        assert pickle.dumps(fused) == pickle.dumps(reference)
 
     def test_parallel_equals_serial(self):
         sc = replace(

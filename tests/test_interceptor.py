@@ -7,6 +7,7 @@ from reentrysim.atmosphere import DEFAULT_ATMOSPHERE
 from reentrysim.dynamics import G0, InterceptorState, VehicleState, _rk4_generic
 from reentrysim.errors import ConfigError, DomainError
 from reentrysim.interceptor import (
+    CalibrationResult,
     ENGAGEMENT_ZONES,
     FlightProfile,
     ProfilePoint,
@@ -27,6 +28,8 @@ from reentrysim.interceptor import (
     type1_spec,
     type2_spec,
     zone_classify,
+    _bisect,
+    _fit_profile,
 )
 
 T1 = type1_spec()
@@ -215,6 +218,35 @@ def _speed_at(prof, t):
 
 
 class TestCalibration:
+    def test_nested_fit_reuses_the_inner_fit_of_the_outer_root(self):
+        """A smooth stand-in profile; the result must equal the plain
+        nested fit, without flying any (knob, area) pair twice."""
+        calls = []
+
+        def make_profile(knob, area):
+            calls.append((knob, area))
+            v_peak = knob / 100.0
+            points = (ProfilePoint(0.0, v_peak, 0.0, 0.0, 0.0),
+                      ProfilePoint(36.0, v_peak * math.exp(-area), 0.0, 0.0, 0.0))
+            return FlightProfile(points, v_peak, 12.0)
+
+        def plain_fit():
+            def fit_knob(area):
+                return _bisect(lambda k: make_profile(k, area).v_peak - 1625.9,
+                               60_000.0, 500_000.0, 1e-6)
+
+            area = _bisect(lambda a: make_profile(fit_knob(a), a).points[-1].v - 810.2,
+                           0.3, 3.0, 1e-6)
+            knob = fit_knob(area)
+            prof = make_profile(knob, area)
+            return CalibrationResult(knob, area, prof.v_peak, prof.t_peak, prof.points[-1].v)
+
+        fitted = _fit_profile(make_profile, (60_000.0, 500_000.0), (0.3, 3.0), 1625.9, 810.2, 36.0)
+        assert len(calls) == len(set(calls))
+        calls.clear()
+        assert [value.hex() for value in fitted] == [value.hex() for value in plain_fit()]
+        assert len(calls) > len(set(calls))
+
     def test_type1_fit_hits_both_anchors(self):
         cal = calibrate_type1()
         assert cal.v_peak == pytest.approx(1625.9, rel=1e-4)
