@@ -40,7 +40,11 @@ with :class:`~reentrysim.errors.IntegrationAbort`.
 
 from __future__ import annotations
 
+import functools
+import linecache
 import math
+import re
+import textwrap
 from dataclasses import dataclass, field
 from math import cos, exp, isfinite, sin
 from typing import Callable, NamedTuple, Sequence
@@ -191,17 +195,18 @@ def vehicle_derivatives(
     )
 
 
-def _upper_bound_rows(env: AtmosphereModel, drag: DragModel) -> tuple:
-    """Speed-of-sound branches and drag segments without their lower bounds.
+def _lookup_tables(env: AtmosphereModel, drag: DragModel) -> tuple:
+    """``rho0, k_decay, vs_rows, cx_rows, cx_floor, mach_cap``, as the
+    inlined atmosphere and drag lookups read them.
 
+    The speed-of-sound branches and drag segments lose their lower bounds.
     Both tables tile [0, inf) in ascending order, so the first row whose
     upper bound exceeds a value is the interval holding it: the row a
     ``lo <= x < hi`` scan finds, at one comparison per row.
     """
-    return (
-        tuple(row[1:] for row in env.vs_branches),
-        tuple(row[1:] for row in drag.segments),
-    )
+    vs_rows = tuple(row[1:] for row in env.vs_branches)
+    cx_rows = tuple(row[1:] for row in drag.segments)
+    return env.rho0, env.k_decay, vs_rows, cx_rows, drag.cx_floor, drag.mach_cap
 
 
 def make_vehicle_rhs(
@@ -214,25 +219,14 @@ def make_vehicle_rhs(
     Atmosphere and drag lookups are inlined over plain tuples; tests pin
     this closure against the readable implementation.
 
-    The returned RHS carries ``rhs.rk4_step(t, y, u, dt)``, one whole RK4
-    step with this body inlined at each of the four stages, which
-    :func:`rk4_step` takes for the 7-state vector.  It computes only the
-    five live components (x, h, v, theta, n); z and w pass through as
-    ``y + sixth * 0.0``, the reference's value exactly.  Stage inputs,
-    outputs and the non-finite sum keep :func:`_rk4_step_7`'s operand
-    order, so the step has the same bits.  On any error (a speed below the
-    guard, an altitude no branch holds, a non-finite sum) it replays the
-    step through :func:`_rk4_step_7`, which raises the reference's
-    :class:`IntegrationAbort`: the same reason, stage time and state.  A
-    wrapper around this RHS, such as a timer, has no ``rk4_step`` and so
-    runs the reference step.  The inlining is the gain: one inner function
-    called per stage saved about two thirds as much.
+    The RHS carries ``rhs.rk4_step(t, y, u, dt)``, the generated
+    ``vehicle`` kernel (see :func:`_kernel_source`), compiled once per
+    process: one RK4 step over the live components (x, h, v, theta, n) with
+    the bits of :func:`_rk4_step_7`, which replays the step on any error
+    and so raises the reference's :class:`IntegrationAbort`.
     """
-    rho0 = env.rho0
-    k_decay = env.k_decay
-    vs_rows, cx_rows = _upper_bound_rows(env, spec.drag)
-    cx_floor = spec.drag.cx_floor
-    mach_cap = spec.drag.mach_cap
+    lookup = _lookup_tables(env, spec.drag)
+    rho0, k_decay, vs_rows, cx_rows, cx_floor, mach_cap = lookup
     area_over_2m = spec.wing_area / (2.0 * spec.mass)
     inv_lag = 1.0 / spec.lag_time
 
@@ -258,6 +252,8 @@ def make_vehicle_rhs(
                 if cx < cx_floor:
                     cx = cx_floor
                 break
+        else:
+            raise IntegrationAbort("non-finite Mach", t, y)
         st = sin(theta)
         ct = cos(theta)
         return (
@@ -270,150 +266,8 @@ def make_vehicle_rhs(
             (u - n) * inv_lag,
         )
 
-    # The drag scans need no replay branch: only v = inf under an infinite
-    # mach_cap gets past every segment, which makes the sum non-finite (at
-    # stage 1, this step and the reference fail alike).
-    def fused_step(t, y, u, dt):
-        y0, y1, y2, y3, y4, y5, y6 = y
-        h2 = 0.5 * dt
-        # stage 1 at (t, y)
-        h, v, theta, n = y1, y3, y4, y6
-        if not v >= SPEED_GUARD:
-            return _rk4_step_7(rhs, t, y, u, dt)
-        hc = h if h > 0.0 else 0.0
-        rho = rho0 * exp(-k_decay * hc)
-        h_km = hc * 0.001
-        for hi, base, slope, ref in vs_rows:
-            if h_km < hi:
-                vs = base + slope * (h_km - ref)
-                break
-        else:
-            return _rk4_step_7(rhs, t, y, u, dt)
-        m = v / vs
-        if m > mach_cap:
-            m = mach_cap
-        for m_high, q2, q1, q0 in cx_rows:
-            if m < m_high:
-                cx = (q2 * m + q1) * m + q0
-                if cx < cx_floor:
-                    cx = cx_floor
-                break
-        st = sin(theta)
-        ct = cos(theta)
-        a0 = v * ct
-        a1 = v * st
-        a3 = -cx * rho * v * v * area_over_2m - g * st
-        a4 = (g / v) * (n - ct)
-        a6 = (u - n) * inv_lag
-        # stage 2 at (t + h2, y + h2 * k1)
-        h = y1 + h2 * a1
-        v = y3 + h2 * a3
-        theta = y4 + h2 * a4
-        n = y6 + h2 * a6
-        if not v >= SPEED_GUARD:
-            return _rk4_step_7(rhs, t, y, u, dt)
-        hc = h if h > 0.0 else 0.0
-        rho = rho0 * exp(-k_decay * hc)
-        h_km = hc * 0.001
-        for hi, base, slope, ref in vs_rows:
-            if h_km < hi:
-                vs = base + slope * (h_km - ref)
-                break
-        else:
-            return _rk4_step_7(rhs, t, y, u, dt)
-        m = v / vs
-        if m > mach_cap:
-            m = mach_cap
-        for m_high, q2, q1, q0 in cx_rows:
-            if m < m_high:
-                cx = (q2 * m + q1) * m + q0
-                if cx < cx_floor:
-                    cx = cx_floor
-                break
-        st = sin(theta)
-        ct = cos(theta)
-        b0 = v * ct
-        b1 = v * st
-        b3 = -cx * rho * v * v * area_over_2m - g * st
-        b4 = (g / v) * (n - ct)
-        b6 = (u - n) * inv_lag
-        # stage 3 at (t + h2, y + h2 * k2)
-        h = y1 + h2 * b1
-        v = y3 + h2 * b3
-        theta = y4 + h2 * b4
-        n = y6 + h2 * b6
-        if not v >= SPEED_GUARD:
-            return _rk4_step_7(rhs, t, y, u, dt)
-        hc = h if h > 0.0 else 0.0
-        rho = rho0 * exp(-k_decay * hc)
-        h_km = hc * 0.001
-        for hi, base, slope, ref in vs_rows:
-            if h_km < hi:
-                vs = base + slope * (h_km - ref)
-                break
-        else:
-            return _rk4_step_7(rhs, t, y, u, dt)
-        m = v / vs
-        if m > mach_cap:
-            m = mach_cap
-        for m_high, q2, q1, q0 in cx_rows:
-            if m < m_high:
-                cx = (q2 * m + q1) * m + q0
-                if cx < cx_floor:
-                    cx = cx_floor
-                break
-        st = sin(theta)
-        ct = cos(theta)
-        c0 = v * ct
-        c1 = v * st
-        c3 = -cx * rho * v * v * area_over_2m - g * st
-        c4 = (g / v) * (n - ct)
-        c6 = (u - n) * inv_lag
-        # stage 4 at (t + dt, y + dt * k3)
-        h = y1 + dt * c1
-        v = y3 + dt * c3
-        theta = y4 + dt * c4
-        n = y6 + dt * c6
-        if not v >= SPEED_GUARD:
-            return _rk4_step_7(rhs, t, y, u, dt)
-        hc = h if h > 0.0 else 0.0
-        rho = rho0 * exp(-k_decay * hc)
-        h_km = hc * 0.001
-        for hi, base, slope, ref in vs_rows:
-            if h_km < hi:
-                vs = base + slope * (h_km - ref)
-                break
-        else:
-            return _rk4_step_7(rhs, t, y, u, dt)
-        m = v / vs
-        if m > mach_cap:
-            m = mach_cap
-        for m_high, q2, q1, q0 in cx_rows:
-            if m < m_high:
-                cx = (q2 * m + q1) * m + q0
-                if cx < cx_floor:
-                    cx = cx_floor
-                break
-        st = sin(theta)
-        ct = cos(theta)
-        d0 = v * ct
-        d1 = v * st
-        d3 = -cx * rho * v * v * area_over_2m - g * st
-        d4 = (g / v) * (n - ct)
-        d6 = (u - n) * inv_lag
-        sixth = dt / 6.0
-        o0 = y0 + sixth * (a0 + 2.0 * (b0 + c0) + d0)
-        o1 = y1 + sixth * (a1 + 2.0 * (b1 + c1) + d1)
-        o2 = y2 + sixth * 0.0
-        o3 = y3 + sixth * (a3 + 2.0 * (b3 + c3) + d3)
-        o4 = y4 + sixth * (a4 + 2.0 * (b4 + c4) + d4)
-        o5 = y5 + sixth * 0.0
-        o6 = y6 + sixth * (a6 + 2.0 * (b6 + c6) + d6)
-        if not isfinite(o0 + o1 + o2 + o3 + o4 + o5 + o6):
-            return _rk4_step_7(rhs, t, y, u, dt)
-        return (o0, o1, o2, o3, o4, o5, o6)
-
-    rhs.rk4_step = fused_step
+    fused = _fused_step_factory("vehicle")
+    rhs.rk4_step = fused(rhs, *lookup, area_over_2m=area_over_2m, g=g, inv_lag=inv_lag)
     return rhs
 
 
@@ -452,12 +306,14 @@ def interceptor_derivatives(
 
 
 def make_interceptor_rhs(spec, env: AtmosphereModel = DEFAULT_ATMOSPHERE, g: float = G0) -> Callable:
-    """Fast planar twin of :func:`interceptor_derivatives`."""
-    rho0 = env.rho0
-    k_decay = env.k_decay
-    vs_rows, cx_rows = _upper_bound_rows(env, spec.drag)
-    cx_floor = spec.drag.cx_floor
-    mach_cap = spec.drag.mach_cap
+    """Fast planar twin of :func:`interceptor_derivatives`.
+
+    Like :func:`make_vehicle_rhs`, the RHS carries a generated fused step,
+    the ``interceptor`` kernel: the thrust stage is looked up at each stage
+    time, and any error replays the step through :func:`_rk4_step_8`.
+    """
+    lookup = _lookup_tables(env, spec.drag)
+    rho0, k_decay, vs_rows, cx_rows, cx_floor, mach_cap = lookup
     half_area = spec.wing_area / 2.0
     inv_lag = 1.0 / spec.lag_time
     stages = spec.stages
@@ -493,6 +349,8 @@ def make_interceptor_rhs(spec, env: AtmosphereModel = DEFAULT_ATMOSPHERE, g: flo
                 if cx < cx_floor:
                     cx = cx_floor
                 break
+        else:
+            raise IntegrationAbort("non-finite Mach", t, y)
         st = sin(theta)
         ct = cos(theta)
         return (
@@ -506,30 +364,30 @@ def make_interceptor_rhs(spec, env: AtmosphereModel = DEFAULT_ATMOSPHERE, g: flo
             -flow,
         )
 
+    fused = _fused_step_factory("interceptor")
+    rhs.rk4_step = fused(rhs, *lookup, half_area=half_area, g=g, inv_lag=inv_lag,
+                         stages=stages, burnout_mass=burnout_mass)
     return rhs
 
 
 def rk4_step(rhs: Callable, t: float, y: tuple, u: float, dt: float) -> tuple:
     """One classical RK4 step with the command u held constant.
 
-    The 7-state vehicle, 8-state interceptor and 4-state pinned-pitch
-    profile vectors go to hand-unrolled copies of :func:`_rk4_generic`: the
-    same arithmetic in the same order, so the same bits, at about half the
-    cost per step.  The 4-state case is tested last, so the vehicle and
-    interceptor steps do not pay for it.
-
-    A 7-state RHS that carries a fused step (``rhs.rk4_step``, built by
-    :func:`make_vehicle_rhs`) takes it instead: the same bits again, and
-    on any error it replays the step through :func:`_rk4_step_7`, so the
-    abort is the reference's.  A wrapper around the RHS, such as a timer
-    counting RHS calls, has no ``rk4_step`` and runs the reference step
-    with its four RHS calls.
+    An RHS that carries a fused step (``rhs.rk4_step``, from
+    :func:`make_vehicle_rhs`, :func:`make_interceptor_rhs` or
+    :func:`~reentrysim.interceptor.pinned_pitch_profile`) takes it: a
+    kernel generated from one stage template and compiled once per
+    process, with the RHS inlined and the bits of the reference step, which
+    it replays on any error so that the abort is the reference's.  Other
+    7-, 8- and 4-state RHS go to hand-unrolled copies of
+    :func:`_rk4_generic` with the same bits; a timer wrapped around a fused
+    RHS has no ``rk4_step`` and takes them too.
     """
+    fused = getattr(rhs, "rk4_step", None)
+    if fused is not None:
+        return fused(t, y, u, dt)
     n = len(y)
     if n == 7:
-        fused = getattr(rhs, "rk4_step", None)
-        if fused is not None:
-            return fused(t, y, u, dt)
         return _rk4_step_7(rhs, t, y, u, dt)
     if n == 8:
         return _rk4_step_8(rhs, t, y, u, dt)
@@ -645,6 +503,134 @@ def _rk4_step_8(rhs: Callable, t: float, y: tuple, u: float, dt: float) -> tuple
     if not math.isfinite(o0 + o1 + o2 + o3 + o4 + o5 + o6 + o7):
         _abort_non_finite(t, k1, k2, k3, k4, out)
     return out
+
+
+# --------------------------------------------------------------------------
+# Fused RK4 steps, generated from one stage template (see _kernel_source)
+
+_SPEED_GUARD = """\
+if not v >= SPEED_GUARD:
+    return {replay}(rhs, t, y, u, dt)
+"""
+
+# Falling through is the coast: zero thrust, as in the RHS, so no replay.
+_THRUST = """\
+thrust = flow = 0.0
+if mass > burnout_mass:
+    for t_start, t_end, stage_thrust, stage_flow in stages:
+        if t_start <= {ts} < t_end:
+            thrust, flow = stage_thrust, stage_flow
+            break
+"""
+
+_LOOKUP = """\
+hc = h if h > 0.0 else 0.0
+rho = rho0 * exp(-k_decay * hc)
+h_km = {h_km}
+for hi, base, slope, ref in vs_rows:
+    if h_km < hi:
+        vs = base + slope * (h_km - ref)
+        break
+else:
+    return {replay}(rhs, t, y, u, dt)
+m = {speed} / vs
+if m > mach_cap:
+    m = mach_cap
+for m_high, q2, q1, q0 in cx_rows:
+    if m < m_high:
+        cx = (q2 * m + q1) * m + q0
+        if cx < cx_floor:
+            cx = cx_floor
+        break
+else:
+    return {replay}(rhs, t, y, u, dt)
+"""
+
+_PLANAR = "st = sin(theta)\nct = cos(theta)\n{k}0 = v * ct\n{k}1 = v * st\n"
+
+# replay: the reference step; state: component names in vector order;
+# inputs: the components the derivatives read; free: the factory's keyword
+# parameters; guard: the stage's lines before the lookup; rates: derivative
+# lines ``{k}<i> = ...`` for component i, k being the stage's letter.
+_KERNELS = {
+    "vehicle": dict(
+        replay="_rk4_step_7", state="x h z v theta w n", inputs="h v theta n",
+        free="area_over_2m, g, inv_lag", guard=_SPEED_GUARD, h_km="hc * 0.001", speed="v",
+        rates=_PLANAR + "{k}3 = -cx * rho * v * v * area_over_2m - g * st\n"
+        "{k}4 = (g / v) * (n - ct)\n{k}6 = (u - n) * inv_lag\n",
+    ),
+    "interceptor": dict(
+        replay="_rk4_step_8", state="x h z v theta w n mass", inputs="h v theta n mass",
+        free="half_area, g, inv_lag, stages, burnout_mass", guard=_SPEED_GUARD + _THRUST,
+        h_km="hc * 0.001", speed="v",
+        rates=_PLANAR + "{k}3 = (thrust - cx * rho * v * v * half_area) / mass - g * st\n"
+        "{k}4 = (g / v) * (n - ct)\n{k}6 = (u - n) * inv_lag\n{k}7 = -flow\n",
+    ),
+    # hc / 1000.0 and the drag's operand order are the readable model's
+    "profile": dict(
+        replay="_rk4_step_4", state="v h mass path", inputs="v h mass",
+        free="wing_area, g, sin_t, stages, burnout_mass", guard=_THRUST + """\
+va = v if v > 0.0 else 0.0
+if not isfinite(h):
+    return {replay}(rhs, t, y, u, dt)
+if not isfinite(va):
+    return {replay}(rhs, t, y, u, dt)
+""", h_km="hc / 1000.0", speed="va",
+        rates="{k}0 = (thrust - cx * rho * va * va * wing_area / 2.0) / mass - g * sin_t\n"
+        "{k}1 = v * sin_t\n{k}2 = -flow\n{k}3 = v\n",
+    ),
+}
+
+
+def _kernel_source(name: str) -> str:
+    """Source of ``make(rhs, <lookup>, *, <free>)``, which returns the fused
+    RK4 step of kernel ``name``: its RHS inlined at each of the four stages.
+
+    Each stage is the kernel's stage inputs, its guard, the shared
+    atmosphere and drag lookup, and its derivative lines.  Stage inputs,
+    outputs and the non-finite sum keep the reference step's operand
+    order, so the kernel has its bits; a component whose derivative is
+    always 0 passes through as ``y + sixth * 0.0``.  Every error returns
+    the reference step's replay, which raises the reference's abort.
+    ``tests/kernels/`` holds the generated sources.
+    """
+    kernel = _KERNELS[name]
+    state, inputs = kernel["state"].split(), kernel["inputs"].split()
+    at = {c: state.index(c) for c in inputs}
+    live = {int(i) for i in re.findall(r"^\{k\}(\d+) =", kernel["rates"], re.M)}
+    ys, outs = ([f"{p}{i}" for i in range(len(state))] for p in "yo")
+    replay = "return {replay}(rhs, t, y, u, dt)".format(**kernel)
+    body = [f"{', '.join(ys)} = y", "h2 = 0.5 * dt", "# stage 1 at (t, y)",
+            f"{', '.join(inputs)} = {', '.join(ys[at[c]] for c in inputs)}"]
+    for s, (k, ts) in enumerate(zip("abcd", ("t", "t + h2", "t + h2", "t + dt"))):
+        if s:
+            scale = "dt" if s == 3 else "h2"
+            body.append(f"# stage {s + 1} at ({ts}, y + {scale} * k{s})")
+            body += [f"{c} = y{at[c]} + {scale} * {'abc'[s - 1]}{at[c]}" for c in inputs]
+        body.append((kernel["guard"] + _LOOKUP + kernel["rates"]).format(k=k, ts=ts, **kernel))
+    body.append("sixth = dt / 6.0")
+    for i in range(len(state)):
+        rate = f"(a{i} + 2.0 * (b{i} + c{i}) + d{i})" if i in live else "0.0"
+        body.append(f"o{i} = y{i} + sixth * {rate}")
+    body += [f"if not isfinite({' + '.join(outs)}):", f"    {replay}", f"return ({', '.join(outs)})"]
+    return (
+        f"def make(rhs, rho0, k_decay, vs_rows, cx_rows, cx_floor, mach_cap, *, {kernel['free']}):\n"
+        f"    def {name}_rk4_step(t, y, u, dt):\n"
+        + textwrap.indent("\n".join(line.rstrip("\n") for line in body), " " * 8)
+        + f"\n\n    return {name}_rk4_step\n"
+    )
+
+
+@functools.cache
+def _fused_step_factory(name: str) -> Callable:
+    """The compiled factory of kernel ``name``: compiled on first use, once
+    per process, and registered in ``linecache`` so tracebacks show it."""
+    source = _kernel_source(name)
+    filename = f"<reentrysim.dynamics fused {name} RK4 step>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    namespace = {}
+    exec(compile(source, filename, "exec"), globals(), namespace)
+    return namespace["make"]
 
 
 class TrajectoryPoint(NamedTuple):

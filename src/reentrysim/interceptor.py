@@ -29,7 +29,9 @@ from typing import NamedTuple, Sequence
 
 from .aero import DragModel, interceptor_drag_model
 from .atmosphere import DEFAULT_ATMOSPHERE, AtmosphereModel
-from .dynamics import G0, InterceptorState, VehicleState, _upper_bound_rows, rk4_step
+from .dynamics import (
+    G0, InterceptorState, VehicleState, _fused_step_factory, _lookup_tables, rk4_step,
+)
 from .errors import ConfigError, DomainError
 
 # Fitted against the reference firing tables; see calibrate_type1/2.
@@ -173,13 +175,14 @@ def pinned_pitch_profile(
     Reproduces the reference firing-table setup (the tables hold theta
     nearly constant) and doubles as the reachability integrator: ``path``
     accumulates distance flown, whatever the pitch.
+
+    Steps take the generated ``profile`` kernel (``rhs.rk4_step``, compiled
+    once per process), with the bits of ``_rk4_step_4``, which replays the
+    step on any error and so raises the RHS's :class:`DomainError`.
     """
     sin_t = math.sin(theta)
-    rho0 = env.rho0
-    k_decay = env.k_decay
-    vs_rows, cx_rows = _upper_bound_rows(env, spec.drag)
-    cx_floor = spec.drag.cx_floor
-    mach_cap = spec.drag.mach_cap
+    lookup = _lookup_tables(env, spec.drag)
+    rho0, k_decay, vs_rows, cx_rows, cx_floor, mach_cap = lookup
     wing_area = spec.wing_area
     stages = spec.stages
     burnout_mass = spec.burnout_mass
@@ -223,6 +226,9 @@ def pinned_pitch_profile(
         drag = cx * rho * va * va * wing_area / 2.0
         return ((thrust - drag) / mass - g * sin_t, v * sin_t, -flow, v)
 
+    fused = _fused_step_factory("profile")
+    rhs.rk4_step = fused(rhs, *lookup, wing_area=wing_area, g=g, sin_t=sin_t, stages=stages,
+                         burnout_mass=burnout_mass)
     y = (spec.launch_speed, y0, spec.initial_mass, 0.0)
     points = [ProfilePoint(0.0, y[0], y[1], y[2], y[3])]
     v_peak, t_peak = y[0], 0.0
@@ -260,6 +266,20 @@ def _bisect(f, lo: float, hi: float, tol: float, it_max: int = 60) -> float:
     return 0.5 * (lo + hi)
 
 
+def _fit_peak(make_profile, bounds: tuple, v_peak_target: float) -> tuple:
+    """(knob, profile) at the root of the peak-speed residual: the profile
+    the bisection flew last, flown again only if the root is another point."""
+    last = {}
+
+    def peak_residual(knob):
+        last.clear()
+        last[knob] = make_profile(knob)
+        return last[knob].v_peak - v_peak_target
+
+    knob = _bisect(peak_residual, bounds[0], bounds[1], 1e-6)
+    return knob, last[knob] if knob in last else make_profile(knob)
+
+
 class CalibrationResult(NamedTuple):
     thrust: float
     wing_area: float
@@ -286,15 +306,8 @@ def _fit_profile(
 
     def fit_knob(area):
         if area not in fitted:
-            last = {}  # the latest profile flown, usually the one at the root
-
-            def peak_residual(knob):
-                last.clear()
-                last[knob] = make_profile(knob, area)
-                return last[knob].v_peak - v_peak_target
-
-            knob = _bisect(peak_residual, knob_bounds[0], knob_bounds[1], 1e-6)
-            fitted[area] = (knob, last[knob] if knob in last else make_profile(knob, area))
+            fitted[area] = _fit_peak(lambda knob: make_profile(knob, area), knob_bounds,
+                                     v_peak_target)
         return fitted[area]
 
     def anchor_residual(area):
@@ -349,8 +362,7 @@ def calibrate_type2(
             type2_spec(specific_impulse=isp, wing_area=area), theta, report_time + 1.0, env
         )
 
-    isp = _bisect(lambda k: make_profile(k).v_peak - v_peak_target, 60.0, 500.0, 1e-6)
-    prof = make_profile(isp)
+    isp, prof = _fit_peak(make_profile, (60.0, 500.0), v_peak_target)
     v_report = prof.points[min(round(report_time / 0.02), len(prof.points) - 1)].v
     return CalibrationResult(isp, area, prof.v_peak, prof.t_peak, v_report)
 

@@ -1,4 +1,6 @@
 import math
+import traceback
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -20,10 +22,14 @@ from reentrysim.dynamics import (
     rk4_step,
     specific_energy,
     vehicle_derivatives,
+    _kernel_source,
     _rk4_generic,
+    _rk4_step_4,
     _rk4_step_7,
+    _rk4_step_8,
 )
-from reentrysim.errors import ConfigError, IntegrationAbort
+from reentrysim.aero import vehicle_drag_model
+from reentrysim.errors import ConfigError, DomainError, IntegrationAbort
 from reentrysim.interceptor import pinned_pitch_profile, type1_spec, type2_spec
 
 VACUUM = AtmosphereModel(
@@ -141,6 +147,8 @@ def outcome(step, rhs, t, s, u, dt):
         return bits(step(rhs, t, s, u, dt))
     except IntegrationAbort as abort:
         return (abort.reason, abort.t.hex(), bits(abort.state))
+    except DomainError as err:
+        return ("DomainError", str(err))
 
 
 SEAMS_M = [hi * 1000.0 for _lo, hi, *_ in DEFAULT_ATMOSPHERE.vs_branches[:-1]]
@@ -178,15 +186,41 @@ def test_unrolled_vehicle_step_matches_the_generic_step(x, v, theta, y, z, w, n,
     assert outcome(rk4_step, rhs, 7.0, s, u, dt) == outcome(_rk4_generic, rhs, 7.0, s, u, dt)
 
 
-def test_rk4_step_takes_the_fused_step_only_on_the_bare_vehicle_rhs():
-    rhs = make_vehicle_rhs(VehicleSpec())
-    y = ENTRY.as_vector()
-    with mock.patch.object(dynamics, "_rk4_step_7", side_effect=AssertionError) as reference:
+def profile_rhs(spec, theta):
+    """The 4-state RHS pinned_pitch_profile builds, caught at its first step."""
+    seen = []
+
+    def spy(rhs, t, y, u, dt):
+        seen.append(rhs)
+        return rk4_step(rhs, t, y, u, dt)
+
+    with mock.patch.object(interceptor, "rk4_step", spy):
+        pinned_pitch_profile(spec, theta, 0.02)
+    return seen[0]
+
+
+UNCAPPED = VehicleSpec(drag=vehicle_drag_model(mach_cap=math.inf))
+
+# kind -> (fused RHS, its reference step, a state it flies)
+FUSED = {
+    "vehicle": lambda: (make_vehicle_rhs(VehicleSpec()), _rk4_step_7, ENTRY.as_vector()),
+    "uncapped vehicle": lambda: (make_vehicle_rhs(UNCAPPED), _rk4_step_7, ENTRY.as_vector()),
+    "interceptor": lambda: (make_interceptor_rhs(type1_spec()), _rk4_step_8,
+                            (0.0, 900.0, 0.0, 300.0, 1.0, 0.0, 2.0, 800.0)),
+    "profile": lambda: (profile_rhs(type1_spec(), 1.0), _rk4_step_4, (300.0, 900.0, 800.0, 0.0)),
+}
+
+
+@pytest.mark.parametrize("kind", FUSED)
+def test_rk4_step_takes_the_fused_step_only_on_the_bare_rhs(kind):
+    rhs, reference_step, y = FUSED[kind]()
+    with mock.patch.object(dynamics, reference_step.__name__,
+                           side_effect=AssertionError) as reference:
         fused = rk4_step(rhs, 0.0, y, 0.5, 0.02)
         assert not reference.called
         with pytest.raises(AssertionError):
             rk4_step(lambda t, y, u: rhs(t, y, u), 0.0, y, 0.5, 0.02)
-    assert bits(fused) == bits(_rk4_step_7(rhs, 0.0, y, 0.5, 0.02))
+    assert bits(fused) == bits(reference_step(rhs, 0.0, y, 0.5, 0.02))
 
 
 def test_fused_vehicle_step_at_every_speed_of_sound_seam():
@@ -202,17 +236,16 @@ def test_fused_vehicle_step_at_every_speed_of_sound_seam():
                     assert bits(fused) == bits(_rk4_generic(rhs, 0.0, s, u, 0.02))
 
 
-def reference_rhs_calls(s, u, dt):
-    """How many RHS calls the reference step made before it aborted."""
-    rhs = make_vehicle_rhs(VehicleSpec())
+def reference_calls(reference_step, rhs, t, s, u, dt):
+    """How many RHS calls the reference step made before it raised."""
     calls = []
 
     def counted(t, y, u):
         calls.append(t)
         return rhs(t, y, u)
 
-    with pytest.raises(IntegrationAbort):
-        _rk4_step_7(counted, 0.0, s, u, dt)
+    with pytest.raises((IntegrationAbort, DomainError)):
+        reference_step(counted, t, s, u, dt)
     return len(calls)
 
 
@@ -229,8 +262,8 @@ def reference_rhs_calls(s, u, dt):
 ])
 def test_fused_vehicle_step_replays_each_abort_through_the_reference(calls, x, h, v, dt, reason):
     s = (x, h, 0.0, v, 0.5, 0.0, -5.0)
-    assert reference_rhs_calls(s, -10.0, dt) == calls
     rhs = make_vehicle_rhs(VehicleSpec())
+    assert reference_calls(_rk4_step_7, rhs, 0.0, s, -10.0, dt) == calls
     with pytest.raises(IntegrationAbort) as err:
         rhs.rk4_step(0.0, s, -10.0, dt)
     assert err.value.reason == reason
@@ -252,49 +285,153 @@ def test_infinite_altitude_aborts_instead_of_crashing():
     assert err.value.reason == "non-finite altitude"
 
 
+# times a step earlier than a thrust-stage boundary or burnout (type 2 at 4 s,
+# 6 s and 29.79 s; type 1 at 13.124 s), so the seam falls inside the step
+STAGE_SEAMS = [edge - f * 0.02 for edge in (4.0, 6.0, type2_spec().burn_time,
+                                           type1_spec().burn_time) for f in (0.25, 0.5, 1.0)]
+MACH_SEAMS_20KM = [0.8 * 295.1, 1.2 * 295.1]  # Mach exactly 0.8 and 1.2 at 20 km
+
+
 @given(
-    t=st.floats(0.0, 40.0),
-    v=st.floats(20.0, 3000.0),
+    type2=st.booleans(),
+    t=st.one_of(st.floats(0.0, 40.0), st.sampled_from(STAGE_SEAMS)),
+    v=st.one_of(st.floats(20.0, 3000.0), st.sampled_from(MACH_SEAMS_20KM)),
     theta=st.floats(-1.5, 1.5),
-    y=st.floats(0.0, 40_000.0),
+    y=st.one_of(st.floats(0.0, 40_000.0), st.sampled_from(SEAMS_M + [20_000.0])),
     n=st.floats(-10.0, 10.0),
     u=st.floats(-10.0, 10.0),
 )
-def test_unrolled_interceptor_step_matches_the_generic_step(t, v, theta, y, n, u):
-    spec = type1_spec()
+# Mach on each drag seam, and a stage boundary inside the step
+@example(type2=False, t=5.0, v=MACH_SEAMS_20KM[0], theta=0.0, y=20_000.0, n=1.0, u=1.0)
+@example(type2=False, t=5.0, v=MACH_SEAMS_20KM[1], theta=0.0, y=20_000.0, n=1.0, u=1.0)
+@example(type2=True, t=3.99, v=600.0, theta=1.0, y=3_000.0, n=0.0, u=2.0)
+@example(type2=True, t=5.99, v=600.0, theta=1.0, y=3_000.0, n=0.0, u=2.0)
+# burnout inside the step
+@example(type2=False, t=13.11, v=1500.0, theta=1.0, y=11_000.0, n=0.0, u=2.0)
+def test_unrolled_interceptor_step_matches_the_generic_step(type2, t, v, theta, y, n, u):
+    spec = type2_spec() if type2 else type1_spec()
     rhs = make_interceptor_rhs(spec)
+    assert rhs.rk4_step is not None
     s = (500.0, y, 0.0, v, theta, 0.0, n, spec.mass_at(t))
-    assert bits(rk4_step(rhs, t, s, u, 0.02)) == bits(_rk4_generic(rhs, t, s, u, 0.02))
-
-
-def profile_rhs(spec, theta):
-    """The 4-state RHS pinned_pitch_profile builds, caught at its first step."""
-    seen = []
-
-    def spy(rhs, t, y, u, dt):
-        seen.append(rhs)
-        return rk4_step(rhs, t, y, u, dt)
-
-    with mock.patch.object(interceptor, "rk4_step", spy):
-        pinned_pitch_profile(spec, theta, 0.02)
-    return seen[0]
+    assert outcome(rk4_step, rhs, t, s, u, 0.02) == outcome(_rk4_generic, rhs, t, s, u, 0.02)
 
 
 @given(
     type2=st.booleans(),
     theta=st.floats(-1.5, 3.1),
-    t=st.floats(0.0, 40.0),
+    t=st.one_of(st.floats(0.0, 40.0), st.sampled_from(STAGE_SEAMS)),
     v=st.floats(-20.0, 3000.0),
-    y=st.floats(0.0, 40_000.0),
+    y=st.one_of(st.floats(0.0, 40_000.0), st.sampled_from(SEAMS_M)),
     burnt=st.floats(0.0, 1.0),
     path=st.floats(0.0, 60_000.0),
 )
+# the v <= 0 clamp
+@example(type2=False, theta=1.5, t=20.0, v=0.0, y=500.0, burnt=1.0, path=10.0)
+@example(type2=False, theta=1.5, t=20.0, v=-5.0, y=500.0, burnt=1.0, path=10.0)
 def test_unrolled_profile_step_matches_the_generic_step(type2, theta, t, v, y, burnt, path):
     spec = type2_spec() if type2 else type1_spec()
     rhs = profile_rhs(spec, theta)
+    assert rhs.rk4_step is not None
     mass = spec.initial_mass - burnt * (spec.initial_mass - spec.burnout_mass)
     s = (v, y, mass, path)
-    assert bits(rk4_step(rhs, t, s, 0.0, 0.02)) == bits(_rk4_generic(rhs, t, s, 0.0, 0.02))
+    assert outcome(rk4_step, rhs, t, s, 0.0, 0.02) == outcome(_rk4_generic, rhs, t, s, 0.0, 0.02)
+
+
+@pytest.mark.parametrize("type2, theta, t, v, y", [
+    # a slow climb where ``hc * 0.001`` in place of ``hc / 1000.0`` moves bits
+    (True, 0.22669744364138517, 25.72850677369641, 382.5138356224252, 7044.027625540523),
+    # every speed-of-sound seam, and Mach on both drag seams at 20 km
+    *[(False, 1.0, 20.0, 600.0, h) for h in SEAMS_M],
+    *[(False, 0.0, 20.0, v, 20_000.0) for v in MACH_SEAMS_20KM],
+    # a thrust-stage boundary or burnout inside the step
+    *[(True, 1.0, t, 300.0, 2_000.0) for t in STAGE_SEAMS],
+])
+def test_fused_profile_step_at_each_seam(type2, theta, t, v, y):
+    spec = type2_spec() if type2 else type1_spec()
+    rhs = profile_rhs(spec, theta)
+    for h in (y, math.nextafter(y, -math.inf), math.nextafter(y, math.inf)):
+        s = (v, h, spec.mass_at(t), 1_000.0)
+        assert bits(rk4_step(rhs, t, s, 0.0, 0.02)) == bits(_rk4_generic(rhs, t, s, 0.0, 0.02))
+
+
+def stalling(v):
+    """A burnt-out interceptor climbing slowly at 200 m, pulling down hard."""
+    return (0.0, 200.0, 0.0, v, 0.5, 0.0, -5.0, type1_spec().burnout_mass)
+
+
+@pytest.mark.parametrize("kind, calls, t, s, u, dt, reason", [
+    # the speed guard, first crossed at stage k2, k3 and k4
+    ("interceptor", 2, 40.0, stalling(1.0), -10.0, 0.02, "speed below guard (1/v singular)"),
+    ("interceptor", 3, 40.0, stalling(3.0), -10.0, 0.5, "speed below guard (1/v singular)"),
+    ("interceptor", 4, 40.0, stalling(1.5), -10.0, 0.2, "speed below guard (1/v singular)"),
+    # v = inf: Mach past every drag segment under an infinite mach_cap ...
+    ("interceptor", 1, 1.0, (0.0, 5e3, 0.0, math.inf, 0.5, 0.0, 0.0, 900.0), 0.0, 0.02,
+     "non-finite Mach"),
+    ("uncapped vehicle", 1, 1.0, (0.0, 5e3, 0.0, math.inf, 0.5, 0.0, 0.0), 0.0, 0.02,
+     "non-finite Mach"),
+    # ... and under the vehicle's finite cap, a drag that makes k2's speed -inf
+    ("vehicle", 2, 1.0, (0.0, 5e3, 0.0, math.inf, 0.5, 0.0, 0.0), 0.0, 0.02,
+     "speed below guard (1/v singular)"),
+    # h = inf: no speed-of-sound branch holds it
+    ("interceptor", 1, 1.0, (0.0, math.inf, 0.0, 600.0, 0.5, 0.0, 0.0, 900.0), 0.0, 0.02,
+     "non-finite altitude"),
+    ("vehicle", 1, 1.0, (0.0, math.inf, 0.0, 600.0, 0.5, 0.0, 0.0), 0.0, 0.02,
+     "non-finite altitude"),
+    # the profile's non-finite y0, and a NaN or overflowing speed reaching h
+    ("profile", 1, 0.0, (math.inf, 100.0, 900.0, 0.0), 0.0, 0.02,
+     "speed must be finite and >= 0, got inf"),
+    ("profile", 1, 0.0, (100.0, math.inf, 900.0, 0.0), 0.0, 0.02, "altitude must be finite, got inf"),
+    ("profile", 1, 0.0, (100.0, math.nan, 900.0, 0.0), 0.0, 0.02, "altitude must be finite, got nan"),
+    ("profile", 2, 0.0, (math.nan, 100.0, 900.0, 0.0), 0.0, 0.02, "altitude must be finite, got nan"),
+    ("profile", 3, 0.0, (1e308, 100.0, 900.0, 0.0), 0.0, 0.02, "altitude must be finite, got -inf"),
+])
+def test_fused_steps_replay_each_abort_through_the_reference(kind, calls, t, s, u, dt, reason):
+    rhs, reference_step, _ = FUSED[kind]()
+    assert reference_calls(reference_step, rhs, t, s, u, dt) == calls
+    with pytest.raises((IntegrationAbort, DomainError)) as err:
+        rhs.rk4_step(t, s, u, dt)
+    assert getattr(err.value, "reason", str(err.value)) == reason
+    assert outcome(rk4_step, rhs, t, s, u, dt) == outcome(reference_step, rhs, t, s, u, dt)
+
+
+def test_infinite_speed_aborts_the_interceptor_rhs_instead_of_crashing():
+    spec = type1_spec()
+    missile = make_interceptor_rhs(spec)
+    with pytest.raises(IntegrationAbort) as err:
+        missile(1.0, (0.0, 5_000.0, 0.0, math.inf, 1.0, 0.0, 0.0, spec.initial_mass), 0.0)
+    assert err.value.reason == "non-finite Mach"
+    assert err.value.t == 1.0
+
+
+KERNELS = Path(__file__).parent / "kernels"
+REWRITE = (
+    "PYTHONPATH=src python -c \"from reentrysim import dynamics as d; "
+    "[open(f'tests/kernels/{n}.txt', 'w').write(d._kernel_source(n)) for n in d._KERNELS]\""
+)
+
+
+@pytest.mark.parametrize("name", ["vehicle", "interceptor", "profile"])
+def test_generated_kernel_source_matches_its_snapshot(name):
+    snapshot = (KERNELS / f"{name}.txt").read_text(encoding="utf-8")
+    assert _kernel_source(name) == snapshot, (
+        f"the generated {name} kernel changed; review the diff after rewriting the "
+        f"snapshots from the repository root with:\n{REWRITE}"
+    )
+
+
+def test_kernels_compile_once_per_process_and_show_in_tracebacks():
+    for kind in FUSED:
+        FUSED[kind]()
+    with mock.patch.object(dynamics, "compile", side_effect=AssertionError, create=True):
+        for kind in FUSED:
+            rhs, _, y = FUSED[kind]()
+            assert bits(rk4_step(rhs, 0.0, y, 0.5, 0.02)) == bits(_rk4_generic(rhs, 0.0, y, 0.5, 0.02))
+    # the last is the profile; a NaN altitude replays from the generated line
+    with pytest.raises(DomainError) as err:
+        rhs.rk4_step(0.0, (100.0, math.nan, 900.0, 0.0), 0.0, 0.02)
+    text = "".join(traceback.format_tb(err.value.__traceback__))
+    assert "<reentrysim.dynamics fused profile RK4 step>" in text
+    assert "return _rk4_step_4(rhs, t, y, u, dt)" in text
 
 
 def test_unrolled_step_tracks_the_generic_step_along_an_entry():

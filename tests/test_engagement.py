@@ -218,6 +218,20 @@ class TestEngagement:
         assert not r.intercepted
         assert labels[-1] == "touchdown"
 
+    def test_infinite_interceptor_speed_is_recorded_as_an_abort(self):
+        sc = terminal_engagement_scenario(700.0, "type-1")
+        launch = engagement._Missile.launch
+
+        def launch_at_infinite_speed(self):
+            launch(self)
+            self.state = self.state[:3] + (math.inf,) + self.state[4:]
+
+        with mock.patch.object(engagement._Missile, "launch", launch_at_infinite_speed):
+            r = simulate_engagement(sc)
+        labels = [label for _, label in r.events]
+        assert labels[labels.index("launch:type-1") + 1] == "abort:type-1:non-finite Mach"
+        assert not r.intercepted
+
     def test_evasion_degrades_the_intercept(self):
         base = replace(terminal_engagement_scenario(2000.0, "type-1"), runs=20, noise=CALIBRATED_NOISE)
         quiet = summarize(batch_run_results(base))
@@ -274,11 +288,37 @@ class TestBatch:
 
             return wrapped
 
-        fused = batch_run_results(sc)
-        assert not calls
+        with mock.patch.object(dynamics, "_rk4_step_7", wraps=dynamics._rk4_step_7) as replay:
+            fused = batch_run_results(sc)
+        assert not calls and not replay.called
         with mock.patch.object(engagement, "make_vehicle_rhs", make_wrapped_rhs):
             reference = batch_run_results(sc)
         assert len(calls) > 4 * 4 * 1000
+        assert pickle.dumps(fused) == pickle.dumps(reference)
+
+    def test_fused_interceptor_step_matches_the_reference_step_over_a_batch(self):
+        """The engage-sweep's 2000 m/s type-1 batch, with the interceptor RHS
+        wrapped (no fused step, as under the benchmark's timers)."""
+        sc = replace(terminal_engagement_scenario(2000.0, "type-1"), runs=4, seed=11,
+                     noise=CALIBRATED_NOISE)
+        calls = []
+
+        def make_wrapped_rhs(*args, **kwargs):
+            rhs = dynamics.make_interceptor_rhs(*args, **kwargs)
+
+            def wrapped(t, y, u):
+                calls.append(t)
+                return rhs(t, y, u)
+
+            return wrapped
+
+        with mock.patch.object(dynamics, "_rk4_step_8", wraps=dynamics._rk4_step_8) as replay:
+            fused = batch_run_results(sc)
+        assert not calls and not replay.called
+        with mock.patch.object(engagement, "make_interceptor_rhs", make_wrapped_rhs):
+            reference = batch_run_results(sc)
+        assert len(calls) > 4 * 4 * 100
+        assert any(label.startswith("launch:") for r in fused for _, label in r.events)
         assert pickle.dumps(fused) == pickle.dumps(reference)
 
     def test_parallel_equals_serial(self):

@@ -1,10 +1,12 @@
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from reentrysim.atmosphere import DEFAULT_ATMOSPHERE
 from reentrysim.dynamics import G0, InterceptorState, VehicleState, _rk4_generic
+from reentrysim import interceptor
 from reentrysim.errors import ConfigError, DomainError
 from reentrysim.interceptor import (
     CalibrationResult,
@@ -258,6 +260,28 @@ class TestCalibration:
         cal = calibrate_type2()
         assert cal.v_peak == pytest.approx(721.2, rel=1e-4)
         assert cal.thrust == pytest.approx(TYPE2_SPECIFIC_IMPULSE, rel=1e-4)
+
+    def test_type2_fit_flies_each_impulse_once(self):
+        """The profile at the root is the one the bisection flew last; the
+        result must equal the fit that flies it again."""
+        flown = []
+
+        def spy(specific_impulse, wing_area):
+            flown.append(specific_impulse)
+            return type2_spec(specific_impulse, wing_area)
+
+        with mock.patch.object(interceptor, "type2_spec", spy):
+            cal = calibrate_type2()
+        assert len(flown) == len(set(flown))
+
+        def peak(isp):
+            return pinned_pitch_profile(type2_spec(isp), TYPE2_CALIBRATION_PITCH, 9.0)
+
+        isp = _bisect(lambda k: peak(k).v_peak - 721.2, 60.0, 500.0, 1e-6)
+        prof = peak(isp)
+        plain = CalibrationResult(isp, 2.0, prof.v_peak, prof.t_peak, prof.points[400].v)
+        assert isp == flown[-1]
+        assert [value.hex() for value in cal] == [value.hex() for value in plain]
 
 
 class TestZones:
