@@ -11,9 +11,8 @@ State conventions (SI units, radians):
     n      realized normal load factor, g units
 
 The load factor follows its command through a first-order lag; gravity and
-drag act on speed; lift (n) acts only on the flight-path angle.  Scenarios
-here are planar (w = 0, no lateral load), but the heading and lateral
-equations are kept so the interceptor reachability tables generalize.
+drag act on speed; lift (n) acts only on the flight-path angle.  Flight is
+planar: there is no lateral load, so the heading w holds.
 
 Equations of motion, vehicle:
 
@@ -23,7 +22,7 @@ Equations of motion, vehicle:
     dz/dt     = -v cos(theta) sin(w)
     dy/dt     = v sin(theta)
     dn/dt     = (u - n) / lag_time
-    dw/dt     = g n_lat / (v cos(theta))
+    dw/dt     = 0
 
 The interceptor adds thrust along the velocity vector and a mass equation:
 
@@ -165,7 +164,6 @@ def vehicle_derivatives(
     spec: VehicleSpec,
     env: AtmosphereModel = DEFAULT_ATMOSPHERE,
     g: float = G0,
-    n_lateral: float = 0.0,
 ) -> VehicleRates:
     """Time derivative of the vehicle state under commanded load factor u."""
     v = state.v
@@ -175,22 +173,13 @@ def vehicle_derivatives(
     cx = spec.drag.cx(env.mach(v, state.y))
     drag_acc = cx * rho * v * v * spec.wing_area / (2.0 * spec.mass)
     st, ct = sin(state.theta), cos(state.theta)
-    cw = cos(state.w)
-    if n_lateral != 0.0:
-        if abs(ct) < 1e-6:
-            raise IntegrationAbort(
-                "cos(theta) ~ 0 in heading equation", state.t, state.as_vector()
-            )
-        dw = g * n_lateral / (v * ct)
-    else:
-        dw = 0.0
     return VehicleRates(
-        x=v * ct * cw,
+        x=v * ct * cos(state.w),
         y=v * st,
         z=-v * ct * sin(state.w),
         v=-drag_acc - g * st,
         theta=(g / v) * (state.n - ct),
-        w=dw,
+        w=0.0,
         n=(u - state.n) / spec.lag_time,
     )
 
@@ -214,7 +203,8 @@ def make_vehicle_rhs(
     env: AtmosphereModel = DEFAULT_ATMOSPHERE,
     g: float = G0,
 ) -> Callable:
-    """Fast planar twin of :func:`vehicle_derivatives` for the step loop.
+    """The vehicle RHS ``rhs(t, y, u)`` of the step loop: the planar case of
+    :func:`vehicle_derivatives` over a plain state tuple.
 
     Atmosphere and drag lookups are inlined over plain tuples; tests pin
     this closure against the readable implementation.
@@ -222,7 +212,7 @@ def make_vehicle_rhs(
     The RHS carries ``rhs.rk4_step(t, y, u, dt)``, the generated
     ``vehicle`` kernel (see :func:`_kernel_source`), compiled once per
     process: one RK4 step over the live components (x, h, v, theta, n) with
-    the bits of :func:`_rk4_step_7`, which replays the step on any error
+    the bits of :func:`_rk4_generic`, which replays the step on any error
     and so raises the reference's :class:`IntegrationAbort`.
     """
     lookup = _lookup_tables(env, spec.drag)
@@ -306,11 +296,12 @@ def interceptor_derivatives(
 
 
 def make_interceptor_rhs(spec, env: AtmosphereModel = DEFAULT_ATMOSPHERE, g: float = G0) -> Callable:
-    """Fast planar twin of :func:`interceptor_derivatives`.
+    """The interceptor RHS of the step loop: the planar case of
+    :func:`interceptor_derivatives` over a plain state tuple.
 
     Like :func:`make_vehicle_rhs`, the RHS carries a generated fused step,
     the ``interceptor`` kernel: the thrust stage is looked up at each stage
-    time, and any error replays the step through :func:`_rk4_step_8`.
+    time, and any error replays the step through :func:`_rk4_generic`.
     """
     lookup = _lookup_tables(env, spec.drag)
     rho0, k_decay, vs_rows, cx_rows, cx_floor, mach_cap = lookup
@@ -377,22 +368,14 @@ def rk4_step(rhs: Callable, t: float, y: tuple, u: float, dt: float) -> tuple:
     :func:`make_vehicle_rhs`, :func:`make_interceptor_rhs` or
     :func:`~reentrysim.interceptor.pinned_pitch_profile`) takes it: a
     kernel generated from one stage template and compiled once per
-    process, with the RHS inlined and the bits of the reference step, which
-    it replays on any error so that the abort is the reference's.  Other
-    7-, 8- and 4-state RHS go to hand-unrolled copies of
-    :func:`_rk4_generic` with the same bits; a timer wrapped around a fused
-    RHS has no ``rk4_step`` and takes them too.
+    process, with the RHS inlined and the bits of :func:`_rk4_generic`,
+    which it replays on any error so that the abort is the reference's.
+    Any other RHS, a timer wrapped around a fused one included, takes
+    :func:`_rk4_generic`.
     """
     fused = getattr(rhs, "rk4_step", None)
     if fused is not None:
         return fused(t, y, u, dt)
-    n = len(y)
-    if n == 7:
-        return _rk4_step_7(rhs, t, y, u, dt)
-    if n == 8:
-        return _rk4_step_8(rhs, t, y, u, dt)
-    if n == 4:
-        return _rk4_step_4(rhs, t, y, u, dt)
     return _rk4_generic(rhs, t, y, u, dt)
 
 
@@ -423,94 +406,12 @@ def _abort_non_finite(t, k1, k2, k3, k4, out):
     raise IntegrationAbort("non-finite state", t, out)  # pragma: no cover
 
 
-def _rk4_step_4(rhs: Callable, t: float, y: tuple, u: float, dt: float) -> tuple:
-    """:func:`_rk4_generic` unrolled for the 4-state pinned-pitch profile."""
-    h2 = 0.5 * dt
-    y0, y1, y2, y3 = y
-    k1 = rhs(t, y, u)
-    a0, a1, a2, a3 = k1
-    k2 = rhs(t + h2, (y0 + h2 * a0, y1 + h2 * a1, y2 + h2 * a2, y3 + h2 * a3), u)
-    b0, b1, b2, b3 = k2
-    k3 = rhs(t + h2, (y0 + h2 * b0, y1 + h2 * b1, y2 + h2 * b2, y3 + h2 * b3), u)
-    c0, c1, c2, c3 = k3
-    k4 = rhs(t + dt, (y0 + dt * c0, y1 + dt * c1, y2 + dt * c2, y3 + dt * c3), u)
-    d0, d1, d2, d3 = k4
-    sixth = dt / 6.0
-    o0 = y0 + sixth * (a0 + 2.0 * (b0 + c0) + d0)
-    o1 = y1 + sixth * (a1 + 2.0 * (b1 + c1) + d1)
-    o2 = y2 + sixth * (a2 + 2.0 * (b2 + c2) + d2)
-    o3 = y3 + sixth * (a3 + 2.0 * (b3 + c3) + d3)
-    out = (o0, o1, o2, o3)
-    if not math.isfinite(o0 + o1 + o2 + o3):
-        _abort_non_finite(t, k1, k2, k3, k4, out)
-    return out
-
-
-def _rk4_step_7(rhs: Callable, t: float, y: tuple, u: float, dt: float) -> tuple:
-    """:func:`_rk4_generic` unrolled for the 7-state vehicle vector."""
-    h2 = 0.5 * dt
-    y0, y1, y2, y3, y4, y5, y6 = y
-    k1 = rhs(t, y, u)
-    a0, a1, a2, a3, a4, a5, a6 = k1
-    k2 = rhs(t + h2, (y0 + h2 * a0, y1 + h2 * a1, y2 + h2 * a2, y3 + h2 * a3,
-                      y4 + h2 * a4, y5 + h2 * a5, y6 + h2 * a6), u)
-    b0, b1, b2, b3, b4, b5, b6 = k2
-    k3 = rhs(t + h2, (y0 + h2 * b0, y1 + h2 * b1, y2 + h2 * b2, y3 + h2 * b3,
-                      y4 + h2 * b4, y5 + h2 * b5, y6 + h2 * b6), u)
-    c0, c1, c2, c3, c4, c5, c6 = k3
-    k4 = rhs(t + dt, (y0 + dt * c0, y1 + dt * c1, y2 + dt * c2, y3 + dt * c3,
-                      y4 + dt * c4, y5 + dt * c5, y6 + dt * c6), u)
-    d0, d1, d2, d3, d4, d5, d6 = k4
-    sixth = dt / 6.0
-    o0 = y0 + sixth * (a0 + 2.0 * (b0 + c0) + d0)
-    o1 = y1 + sixth * (a1 + 2.0 * (b1 + c1) + d1)
-    o2 = y2 + sixth * (a2 + 2.0 * (b2 + c2) + d2)
-    o3 = y3 + sixth * (a3 + 2.0 * (b3 + c3) + d3)
-    o4 = y4 + sixth * (a4 + 2.0 * (b4 + c4) + d4)
-    o5 = y5 + sixth * (a5 + 2.0 * (b5 + c5) + d5)
-    o6 = y6 + sixth * (a6 + 2.0 * (b6 + c6) + d6)
-    out = (o0, o1, o2, o3, o4, o5, o6)
-    if not math.isfinite(o0 + o1 + o2 + o3 + o4 + o5 + o6):
-        _abort_non_finite(t, k1, k2, k3, k4, out)
-    return out
-
-
-def _rk4_step_8(rhs: Callable, t: float, y: tuple, u: float, dt: float) -> tuple:
-    """:func:`_rk4_generic` unrolled for the 8-state interceptor vector."""
-    h2 = 0.5 * dt
-    y0, y1, y2, y3, y4, y5, y6, y7 = y
-    k1 = rhs(t, y, u)
-    a0, a1, a2, a3, a4, a5, a6, a7 = k1
-    k2 = rhs(t + h2, (y0 + h2 * a0, y1 + h2 * a1, y2 + h2 * a2, y3 + h2 * a3,
-                      y4 + h2 * a4, y5 + h2 * a5, y6 + h2 * a6, y7 + h2 * a7), u)
-    b0, b1, b2, b3, b4, b5, b6, b7 = k2
-    k3 = rhs(t + h2, (y0 + h2 * b0, y1 + h2 * b1, y2 + h2 * b2, y3 + h2 * b3,
-                      y4 + h2 * b4, y5 + h2 * b5, y6 + h2 * b6, y7 + h2 * b7), u)
-    c0, c1, c2, c3, c4, c5, c6, c7 = k3
-    k4 = rhs(t + dt, (y0 + dt * c0, y1 + dt * c1, y2 + dt * c2, y3 + dt * c3,
-                      y4 + dt * c4, y5 + dt * c5, y6 + dt * c6, y7 + dt * c7), u)
-    d0, d1, d2, d3, d4, d5, d6, d7 = k4
-    sixth = dt / 6.0
-    o0 = y0 + sixth * (a0 + 2.0 * (b0 + c0) + d0)
-    o1 = y1 + sixth * (a1 + 2.0 * (b1 + c1) + d1)
-    o2 = y2 + sixth * (a2 + 2.0 * (b2 + c2) + d2)
-    o3 = y3 + sixth * (a3 + 2.0 * (b3 + c3) + d3)
-    o4 = y4 + sixth * (a4 + 2.0 * (b4 + c4) + d4)
-    o5 = y5 + sixth * (a5 + 2.0 * (b5 + c5) + d5)
-    o6 = y6 + sixth * (a6 + 2.0 * (b6 + c6) + d6)
-    o7 = y7 + sixth * (a7 + 2.0 * (b7 + c7) + d7)
-    out = (o0, o1, o2, o3, o4, o5, o6, o7)
-    if not math.isfinite(o0 + o1 + o2 + o3 + o4 + o5 + o6 + o7):
-        _abort_non_finite(t, k1, k2, k3, k4, out)
-    return out
-
-
 # --------------------------------------------------------------------------
 # Fused RK4 steps, generated from one stage template (see _kernel_source)
 
 _SPEED_GUARD = """\
 if not v >= SPEED_GUARD:
-    return {replay}(rhs, t, y, u, dt)
+    return _rk4_generic(rhs, t, y, u, dt)
 """
 
 # Falling through is the coast: zero thrust, as in the RHS, so no replay.
@@ -532,7 +433,7 @@ for hi, base, slope, ref in vs_rows:
         vs = base + slope * (h_km - ref)
         break
 else:
-    return {replay}(rhs, t, y, u, dt)
+    return _rk4_generic(rhs, t, y, u, dt)
 m = {speed} / vs
 if m > mach_cap:
     m = mach_cap
@@ -543,24 +444,24 @@ for m_high, q2, q1, q0 in cx_rows:
             cx = cx_floor
         break
 else:
-    return {replay}(rhs, t, y, u, dt)
+    return _rk4_generic(rhs, t, y, u, dt)
 """
 
 _PLANAR = "st = sin(theta)\nct = cos(theta)\n{k}0 = v * ct\n{k}1 = v * st\n"
 
-# replay: the reference step; state: component names in vector order;
-# inputs: the components the derivatives read; free: the factory's keyword
-# parameters; guard: the stage's lines before the lookup; rates: derivative
-# lines ``{k}<i> = ...`` for component i, k being the stage's letter.
+# state: component names in vector order; inputs: the components the
+# derivatives read; free: the factory's keyword parameters; guard: the
+# stage's lines before the lookup; rates: derivative lines ``{k}<i> = ...``
+# for component i, k being the stage's letter.
 _KERNELS = {
     "vehicle": dict(
-        replay="_rk4_step_7", state="x h z v theta w n", inputs="h v theta n",
+        state="x h z v theta w n", inputs="h v theta n",
         free="area_over_2m, g, inv_lag", guard=_SPEED_GUARD, h_km="hc * 0.001", speed="v",
         rates=_PLANAR + "{k}3 = -cx * rho * v * v * area_over_2m - g * st\n"
         "{k}4 = (g / v) * (n - ct)\n{k}6 = (u - n) * inv_lag\n",
     ),
     "interceptor": dict(
-        replay="_rk4_step_8", state="x h z v theta w n mass", inputs="h v theta n mass",
+        state="x h z v theta w n mass", inputs="h v theta n mass",
         free="half_area, g, inv_lag, stages, burnout_mass", guard=_SPEED_GUARD + _THRUST,
         h_km="hc * 0.001", speed="v",
         rates=_PLANAR + "{k}3 = (thrust - cx * rho * v * v * half_area) / mass - g * st\n"
@@ -568,13 +469,13 @@ _KERNELS = {
     ),
     # hc / 1000.0 and the drag's operand order are the readable model's
     "profile": dict(
-        replay="_rk4_step_4", state="v h mass path", inputs="v h mass",
+        state="v h mass path", inputs="v h mass",
         free="wing_area, g, sin_t, stages, burnout_mass", guard=_THRUST + """\
 va = v if v > 0.0 else 0.0
 if not isfinite(h):
-    return {replay}(rhs, t, y, u, dt)
+    return _rk4_generic(rhs, t, y, u, dt)
 if not isfinite(va):
-    return {replay}(rhs, t, y, u, dt)
+    return _rk4_generic(rhs, t, y, u, dt)
 """, h_km="hc / 1000.0", speed="va",
         rates="{k}0 = (thrust - cx * rho * va * va * wing_area / 2.0) / mass - g * sin_t\n"
         "{k}1 = v * sin_t\n{k}2 = -flow\n{k}3 = v\n",
@@ -590,8 +491,8 @@ def _kernel_source(name: str) -> str:
     atmosphere and drag lookup, and its derivative lines.  Stage inputs,
     outputs and the non-finite sum keep the reference step's operand
     order, so the kernel has its bits; a component whose derivative is
-    always 0 passes through as ``y + sixth * 0.0``.  Every error returns
-    the reference step's replay, which raises the reference's abort.
+    always 0 passes through as ``y + sixth * 0.0``.  Every error replays
+    the step through :func:`_rk4_generic`, which raises its abort.
     ``tests/kernels/`` holds the generated sources.
     """
     kernel = _KERNELS[name]
@@ -599,7 +500,6 @@ def _kernel_source(name: str) -> str:
     at = {c: state.index(c) for c in inputs}
     live = {int(i) for i in re.findall(r"^\{k\}(\d+) =", kernel["rates"], re.M)}
     ys, outs = ([f"{p}{i}" for i in range(len(state))] for p in "yo")
-    replay = "return {replay}(rhs, t, y, u, dt)".format(**kernel)
     body = [f"{', '.join(ys)} = y", "h2 = 0.5 * dt", "# stage 1 at (t, y)",
             f"{', '.join(inputs)} = {', '.join(ys[at[c]] for c in inputs)}"]
     for s, (k, ts) in enumerate(zip("abcd", ("t", "t + h2", "t + h2", "t + dt"))):
@@ -612,7 +512,8 @@ def _kernel_source(name: str) -> str:
     for i in range(len(state)):
         rate = f"(a{i} + 2.0 * (b{i} + c{i}) + d{i})" if i in live else "0.0"
         body.append(f"o{i} = y{i} + sixth * {rate}")
-    body += [f"if not isfinite({' + '.join(outs)}):", f"    {replay}", f"return ({', '.join(outs)})"]
+    body += [f"if not isfinite({' + '.join(outs)}):",
+             "    return _rk4_generic(rhs, t, y, u, dt)", f"return ({', '.join(outs)})"]
     return (
         f"def make(rhs, rho0, k_decay, vs_rows, cx_rows, cx_floor, mach_cap, *, {kernel['free']}):\n"
         f"    def {name}_rk4_step(t, y, u, dt):\n"

@@ -230,10 +230,11 @@ def _density_multiplier(scenario: Scenario, stream: GaussianStream) -> float:
 
 
 class _VehicleControl:
-    """Per-run phase machine over raw state tuples.
+    """Per-run phase machine over raw state tuples: the phase transitions
+    and per-phase laws of :mod:`reentrysim.guidance`, applied once per step.
 
-    Fast twin of the contract functions in :mod:`reentrysim.guidance`;
-    the cross-check tests replay sampled states through phase_command.
+    Transitions chain within one call: a state past several switch points
+    enters the last phase they lead to, and only that phase gets an event.
     Draws seeker noise only when the boresight angle is actually
     evaluated, and turbulence once per step.
     """
@@ -446,6 +447,9 @@ class _Missile:
         )
 
     def pn_command(self, target_y: tuple) -> float:
+        """Proportional navigation with gravity compensation, clamped to the
+        structural limit: u = N' (Vc / g) dlambda/dt + cos(theta); 0.0 at
+        zero range."""
         x, y = self.state[0], self.state[1]
         v, theta = self.state[3], self.state[4]
         rx = target_y[0] - x
@@ -499,13 +503,16 @@ def simulate_engagement(scenario: Scenario, stream: GaussianStream | None = None
     icfg = scenario.integrator
     g = icfg.g
     dt = icfg.dt
-    track = _predicted_track(scenario)
     mult = _density_multiplier(scenario, stream)
     env = replace(scenario.atmosphere, rho0=scenario.atmosphere.rho0 * mult)
 
     missiles = []
     control = _VehicleControl(scenario, stream)
     events = control.events
+    try:
+        track = _predicted_track(scenario)
+    except IntegrationAbort as abort:  # launch planning flies the nominal descent
+        return _failed_run(abort.reason, abort.t, control, events)
     for site in scenario.sites:
         spec = site.resolve_spec()
         plan = launch_decision(

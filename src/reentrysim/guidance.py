@@ -1,5 +1,11 @@
 """Four-phase descent guidance, seeker acquisition and evasive maneuvering.
 
+This module holds the guidance, seeker and evasion configurations and the
+evasion law.  The phase machine that applies the laws below, once per
+integration step over the raw state tuple, is ``_VehicleControl`` in
+:mod:`reentrysim.engagement`, which also makes the seeker-noise and
+turbulence draws.
+
 The commanded load factor U is produced by one law per phase:
 
     GRAVITATIONAL  U = 0 (ballistic; a config switch selects U = cos(theta))
@@ -24,7 +30,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from typing import NamedTuple
 
-from .dynamics import G0, VehicleState
+from .dynamics import G0
 from .errors import ConfigError, DomainError
 
 
@@ -110,93 +116,6 @@ def wrap_angle(a: float) -> float:
     elif a <= -math.pi:
         a += 2.0 * math.pi
     return a
-
-
-def los_angle(state: VehicleState, target: tuple) -> float:
-    """Signed angle from the velocity vector to the line of sight, rad.
-
-    Negative when the target sits below the velocity vector.  Planar:
-    measured in the vertical plane through the x axis.
-    """
-    dx = target[0] - state.x
-    dy = target[1] - state.y
-    if dx == 0.0 and dy == 0.0:
-        raise DomainError("line of sight undefined at zero range")
-    return wrap_angle(math.atan2(dy, dx) - state.theta)
-
-
-def phase_command(
-    phase: GuidancePhase,
-    state: VehicleState,
-    target: tuple,
-    cfg: GuidanceConfig,
-    g: float = G0,
-    alpha: float | None = None,
-) -> float:
-    """Commanded load factor for the active phase, clamped to +-u_max.
-
-    ``alpha`` overrides the computed boresight angle so a caller can inject
-    seeker noise; when omitted the geometric angle is used.
-    """
-    if phase == GuidancePhase.GRAVITATIONAL:
-        u = math.cos(state.theta) if cfg.gravitational_cos_theta else 0.0
-    elif phase == GuidancePhase.PULL_UP:
-        u = state.v * state.v / (g * cfg.pullup_radius) + math.cos(state.theta)
-    elif phase == GuidancePhase.ALTITUDE_HOLD:
-        u = cfg.hold_gain * (cfg.hold_altitude - state.y) + math.cos(state.theta)
-    elif phase == GuidancePhase.TERMINAL:
-        if alpha is None:
-            alpha = los_angle(state, target)
-        u = cfg.terminal_gain * alpha
-    else:  # pragma: no cover
-        raise AssertionError(f"unknown guidance phase {phase!r}")
-    if u > cfg.u_max:
-        return cfg.u_max
-    if u < -cfg.u_max:
-        return -cfg.u_max
-    return u
-
-
-def seeker_acquired(
-    state: VehicleState,
-    target: tuple,
-    seeker: SeekerModel,
-    alpha: float | None = None,
-) -> bool:
-    """Geometric acquisition test (altitude, slant range, field of regard)."""
-    if state.y > seeker.activation_altitude:
-        return False
-    slant = math.hypot(target[0] - state.x, target[1] - state.y)
-    if slant > seeker.activation_range or slant == 0.0:
-        return False
-    if alpha is None:
-        alpha = los_angle(state, target)
-    return abs(alpha) <= seeker.field_of_regard
-
-
-def phase_transition(
-    phase: GuidancePhase,
-    state: VehicleState,
-    seeker: SeekerModel,
-    target: tuple,
-    cfg: GuidanceConfig,
-    alpha: float | None = None,
-) -> GuidancePhase:
-    """Next phase for the current state; never regresses.
-
-    The pull-up hands off to the hold either on reaching the hold band or
-    on leveling out (theta >= 0), whichever comes first; a pull-up that
-    bottoms above the band would otherwise climb away and never hand off.
-    """
-    if phase != GuidancePhase.TERMINAL and seeker_acquired(state, target, seeker, alpha):
-        return GuidancePhase.TERMINAL
-    if phase == GuidancePhase.GRAVITATIONAL and state.y < cfg.pullup_start_altitude:
-        return GuidancePhase.PULL_UP
-    if phase == GuidancePhase.PULL_UP and (
-        state.y < cfg.hold_altitude + cfg.hold_band or state.theta >= 0.0
-    ):
-        return GuidancePhase.ALTITUDE_HOLD
-    return phase
 
 
 class EvasionRadii(NamedTuple):

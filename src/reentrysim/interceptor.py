@@ -29,9 +29,7 @@ from typing import NamedTuple, Sequence
 
 from .aero import DragModel, interceptor_drag_model
 from .atmosphere import DEFAULT_ATMOSPHERE, AtmosphereModel
-from .dynamics import (
-    G0, InterceptorState, VehicleState, _fused_step_factory, _lookup_tables, rk4_step,
-)
+from .dynamics import G0, _fused_step_factory, _lookup_tables, rk4_step
 from .errors import ConfigError, DomainError
 
 # Fitted against the reference firing tables; see calibrate_type1/2.
@@ -177,7 +175,7 @@ def pinned_pitch_profile(
     accumulates distance flown, whatever the pitch.
 
     Steps take the generated ``profile`` kernel (``rhs.rk4_step``, compiled
-    once per process), with the bits of ``_rk4_step_4``, which replays the
+    once per process), with the bits of ``_rk4_generic``, which replays the
     step on any error and so raises the RHS's :class:`DomainError`.
     """
     sin_t = math.sin(theta)
@@ -400,29 +398,6 @@ def zone_classify(d: float, h: float, zones=ENGAGEMENT_ZONES):
     return None
 
 
-class EffectiveZone(NamedTuple):
-    d_low: float
-    d_high: float
-    h_low: float
-    h_high: float
-    p_ceiling: float
-    v_threshold: float
-
-
-_EFFECTIVE_ZONES = {
-    "type-1": EffectiveZone(2_500.0, 10_000.0, 4_000.0, 14_000.0, 0.6, 1500.0),
-    "type-2": EffectiveZone(2_000.0, 6_000.0, 3_500.0, 11_000.0, 0.5, 1500.0),
-}
-
-
-def effective_zone(kind: str) -> EffectiveZone:
-    """Demonstrated effective envelope and probability ceiling per type."""
-    try:
-        return _EFFECTIVE_ZONES[kind]
-    except KeyError:
-        raise ConfigError(f"unknown interceptor kind {kind!r}") from None
-
-
 # --------------------------------------------------------------------------
 # Kill tables
 
@@ -550,7 +525,7 @@ def kill_probability(table: KillTable, h: float, d: float, v: float) -> float:
 
 
 # --------------------------------------------------------------------------
-# Launch planning and homing
+# Launch planning
 
 
 @dataclass(frozen=True)
@@ -639,29 +614,3 @@ def launch_decision(
             )
     return None
 
-
-def interceptor_guidance(
-    state: InterceptorState,
-    target: VehicleState,
-    nav_gain: float = 4.0,
-    u_max: float = 25.0,
-    g: float = G0,
-) -> float:
-    """Proportional navigation with gravity compensation, clamped to the
-    structural limit: u = N' (Vc / g) dlambda/dt + cos(theta)."""
-    rx = target.x - state.x
-    ry = target.y - state.y
-    r_sq = rx * rx + ry * ry
-    if r_sq == 0.0:
-        raise DomainError("PN undefined at zero range")
-    r = math.sqrt(r_sq)
-    rvx = target.v * math.cos(target.theta) - state.v * math.cos(state.theta)
-    rvy = target.v * math.sin(target.theta) - state.v * math.sin(state.theta)
-    los_rate = (rx * rvy - ry * rvx) / r_sq
-    closing = -(rx * rvx + ry * rvy) / r
-    u = nav_gain * (closing / g) * los_rate + math.cos(state.theta)
-    if u > u_max:
-        return u_max
-    if u < -u_max:
-        return -u_max
-    return u

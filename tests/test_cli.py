@@ -177,6 +177,15 @@ class TestCommands:
         assert "entry_altitude" in err and "[vehicle]" in err
         assert not (tmp_path / "o" / "trajectory.csv").exists()
 
+    def test_batch_of_aborting_engagements_fails_cleanly(self, tmp_path, capsys):
+        ini = write(
+            tmp_path / "s.ini",
+            "[vehicle]\nentry_speed = 50.0\nentry_theta = 1.5707\n\n"
+            "[interceptors]\nsites = 21000.0:type-1\n",
+        )
+        assert main(["batch", "--scenario", ini, "--n", "2", "--out", str(tmp_path / "o")]) == 1
+        assert "error: all 2 runs failed" in capsys.readouterr().err
+
     def test_config_errors_exit_nonzero(self, tmp_path, capsys):
         ini = write(tmp_path / "s.ini", "[batch]\ndt = 0\n")
         assert main(["fly", "--scenario", ini, "--out", str(tmp_path / "o")]) == 1

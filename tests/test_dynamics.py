@@ -24,9 +24,6 @@ from reentrysim.dynamics import (
     vehicle_derivatives,
     _kernel_source,
     _rk4_generic,
-    _rk4_step_4,
-    _rk4_step_7,
-    _rk4_step_8,
 )
 from reentrysim.aero import vehicle_drag_model
 from reentrysim.errors import ConfigError, DomainError, IntegrationAbort
@@ -113,14 +110,6 @@ def test_fast_rhs_matches_readable_interceptor_model():
         assert fast == pytest.approx(tuple(readable), rel=1e-12)
 
 
-def test_heading_equation_guards_vertical_flight():
-    s = state(1000.0, math.pi / 2)
-    with pytest.raises(IntegrationAbort):
-        vehicle_derivatives(s, 0.0, VehicleSpec(), n_lateral=0.5)
-    # planar flight through the vertical is fine
-    vehicle_derivatives(s, 0.0, VehicleSpec(), n_lateral=0.0)
-
-
 def test_rk4_exact_for_cubics():
     rhs = lambda t, y, u: (3.0 * t * t,)
     y = (0.0,)
@@ -201,26 +190,25 @@ def profile_rhs(spec, theta):
 
 UNCAPPED = VehicleSpec(drag=vehicle_drag_model(mach_cap=math.inf))
 
-# kind -> (fused RHS, its reference step, a state it flies)
+# kind -> (fused RHS, a state it flies)
 FUSED = {
-    "vehicle": lambda: (make_vehicle_rhs(VehicleSpec()), _rk4_step_7, ENTRY.as_vector()),
-    "uncapped vehicle": lambda: (make_vehicle_rhs(UNCAPPED), _rk4_step_7, ENTRY.as_vector()),
-    "interceptor": lambda: (make_interceptor_rhs(type1_spec()), _rk4_step_8,
+    "vehicle": lambda: (make_vehicle_rhs(VehicleSpec()), ENTRY.as_vector()),
+    "uncapped vehicle": lambda: (make_vehicle_rhs(UNCAPPED), ENTRY.as_vector()),
+    "interceptor": lambda: (make_interceptor_rhs(type1_spec()),
                             (0.0, 900.0, 0.0, 300.0, 1.0, 0.0, 2.0, 800.0)),
-    "profile": lambda: (profile_rhs(type1_spec(), 1.0), _rk4_step_4, (300.0, 900.0, 800.0, 0.0)),
+    "profile": lambda: (profile_rhs(type1_spec(), 1.0), (300.0, 900.0, 800.0, 0.0)),
 }
 
 
 @pytest.mark.parametrize("kind", FUSED)
 def test_rk4_step_takes_the_fused_step_only_on_the_bare_rhs(kind):
-    rhs, reference_step, y = FUSED[kind]()
-    with mock.patch.object(dynamics, reference_step.__name__,
-                           side_effect=AssertionError) as reference:
+    rhs, y = FUSED[kind]()
+    with mock.patch.object(dynamics, "_rk4_generic", side_effect=AssertionError) as reference:
         fused = rk4_step(rhs, 0.0, y, 0.5, 0.02)
         assert not reference.called
         with pytest.raises(AssertionError):
             rk4_step(lambda t, y, u: rhs(t, y, u), 0.0, y, 0.5, 0.02)
-    assert bits(fused) == bits(reference_step(rhs, 0.0, y, 0.5, 0.02))
+    assert bits(fused) == bits(_rk4_generic(rhs, 0.0, y, 0.5, 0.02))
 
 
 def test_fused_vehicle_step_at_every_speed_of_sound_seam():
@@ -236,7 +224,7 @@ def test_fused_vehicle_step_at_every_speed_of_sound_seam():
                     assert bits(fused) == bits(_rk4_generic(rhs, 0.0, s, u, 0.02))
 
 
-def reference_calls(reference_step, rhs, t, s, u, dt):
+def reference_calls(rhs, t, s, u, dt):
     """How many RHS calls the reference step made before it raised."""
     calls = []
 
@@ -245,7 +233,7 @@ def reference_calls(reference_step, rhs, t, s, u, dt):
         return rhs(t, y, u)
 
     with pytest.raises((IntegrationAbort, DomainError)):
-        reference_step(counted, t, s, u, dt)
+        _rk4_generic(counted, t, s, u, dt)
     return len(calls)
 
 
@@ -263,17 +251,17 @@ def reference_calls(reference_step, rhs, t, s, u, dt):
 def test_fused_vehicle_step_replays_each_abort_through_the_reference(calls, x, h, v, dt, reason):
     s = (x, h, 0.0, v, 0.5, 0.0, -5.0)
     rhs = make_vehicle_rhs(VehicleSpec())
-    assert reference_calls(_rk4_step_7, rhs, 0.0, s, -10.0, dt) == calls
+    assert reference_calls(rhs, 0.0, s, -10.0, dt) == calls
     with pytest.raises(IntegrationAbort) as err:
         rhs.rk4_step(0.0, s, -10.0, dt)
     assert err.value.reason == reason
-    assert outcome(rk4_step, rhs, 0.0, s, -10.0, dt) == outcome(_rk4_step_7, rhs, 0.0, s, -10.0, dt)
+    assert outcome(rk4_step, rhs, 0.0, s, -10.0, dt) == outcome(_rk4_generic, rhs, 0.0, s, -10.0, dt)
 
 
 def test_infinite_altitude_aborts_instead_of_crashing():
     vehicle = make_vehicle_rhs(VehicleSpec())
     s = (0.0, math.inf, 0.0, 900.0, -0.2, 0.0, 0.0)
-    for step in (rk4_step, _rk4_step_7, _rk4_generic):
+    for step in (rk4_step, _rk4_generic):
         with pytest.raises(IntegrationAbort) as err:
             step(vehicle, 3.0, s, 0.0, 0.02)
         assert err.value.reason == "non-finite altitude"
@@ -386,12 +374,12 @@ def stalling(v):
     ("profile", 3, 0.0, (1e308, 100.0, 900.0, 0.0), 0.0, 0.02, "altitude must be finite, got -inf"),
 ])
 def test_fused_steps_replay_each_abort_through_the_reference(kind, calls, t, s, u, dt, reason):
-    rhs, reference_step, _ = FUSED[kind]()
-    assert reference_calls(reference_step, rhs, t, s, u, dt) == calls
+    rhs, _ = FUSED[kind]()
+    assert reference_calls(rhs, t, s, u, dt) == calls
     with pytest.raises((IntegrationAbort, DomainError)) as err:
         rhs.rk4_step(t, s, u, dt)
     assert getattr(err.value, "reason", str(err.value)) == reason
-    assert outcome(rk4_step, rhs, t, s, u, dt) == outcome(reference_step, rhs, t, s, u, dt)
+    assert outcome(rk4_step, rhs, t, s, u, dt) == outcome(_rk4_generic, rhs, t, s, u, dt)
 
 
 def test_infinite_speed_aborts_the_interceptor_rhs_instead_of_crashing():
@@ -424,14 +412,14 @@ def test_kernels_compile_once_per_process_and_show_in_tracebacks():
         FUSED[kind]()
     with mock.patch.object(dynamics, "compile", side_effect=AssertionError, create=True):
         for kind in FUSED:
-            rhs, _, y = FUSED[kind]()
+            rhs, y = FUSED[kind]()
             assert bits(rk4_step(rhs, 0.0, y, 0.5, 0.02)) == bits(_rk4_generic(rhs, 0.0, y, 0.5, 0.02))
     # the last is the profile; a NaN altitude replays from the generated line
     with pytest.raises(DomainError) as err:
         rhs.rk4_step(0.0, (100.0, math.nan, 900.0, 0.0), 0.0, 0.02)
     text = "".join(traceback.format_tb(err.value.__traceback__))
     assert "<reentrysim.dynamics fused profile RK4 step>" in text
-    assert "return _rk4_step_4(rhs, t, y, u, dt)" in text
+    assert "return _rk4_generic(rhs, t, y, u, dt)" in text
 
 
 def test_unrolled_step_tracks_the_generic_step_along_an_entry():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from reentrysim import dynamics, engagement
-from reentrysim.dynamics import IntegratorConfig, VehicleState
+from reentrysim.dynamics import IntegratorConfig
 from reentrysim.engagement import (
     GaussianStream,
     InterceptorSite,
@@ -25,7 +25,6 @@ from reentrysim.engagement import (
     summarize,
 )
 from reentrysim.errors import BatchError, ConfigError, DomainError
-from reentrysim.guidance import los_angle
 from reentrysim.presets import (
     CALIBRATED_NOISE,
     PRESET_RANGES,
@@ -147,8 +146,9 @@ class TestVehicleRun:
         sc = scenario_for_range(615_000)
         r = simulate_vehicle_run(sc, sample_interval=0.5)
         t_td = r.flight_time
+        boresight = engagement._VehicleControl(sc, None)._alpha
         alphas = [
-            (t, los_angle(VehicleState.from_vector(t, y), sc.target))
+            (t, boresight(y[0], y[1], y[4]))
             for t, y, _ in r.samples
             if t_td - 10.0 <= t <= t_td - 1.0
         ]
@@ -232,6 +232,17 @@ class TestEngagement:
         assert labels[labels.index("launch:type-1") + 1] == "abort:type-1:non-finite Mach"
         assert not r.intercepted
 
+    def test_aborting_nominal_flight_is_a_failed_run(self):
+        """A straight-up climb at 50 m/s stalls in the launch-planning
+        prediction too; the run fails with the abort's reason."""
+        base = scenario_for_range(615_000)
+        sc = replace(base, entry=replace(base.entry, v=50.0, theta=1.5707),
+                     sites=(InterceptorSite(x=21_000.0, kind="type-1"),))
+        r = simulate_engagement(sc)
+        assert r.failed == simulate_vehicle_run(replace(sc, sites=())).failed
+        assert r.failed == "speed below guard (1/v singular)"
+        assert r.events[-1] == (r.flight_time, "failed:speed below guard (1/v singular)")
+
     def test_evasion_degrades_the_intercept(self):
         base = replace(terminal_engagement_scenario(2000.0, "type-1"), runs=20, noise=CALIBRATED_NOISE)
         quiet = summarize(batch_run_results(base))
@@ -288,7 +299,7 @@ class TestBatch:
 
             return wrapped
 
-        with mock.patch.object(dynamics, "_rk4_step_7", wraps=dynamics._rk4_step_7) as replay:
+        with mock.patch.object(dynamics, "_rk4_generic", wraps=dynamics._rk4_generic) as replay:
             fused = batch_run_results(sc)
         assert not calls and not replay.called
         with mock.patch.object(engagement, "make_vehicle_rhs", make_wrapped_rhs):
@@ -312,7 +323,7 @@ class TestBatch:
 
             return wrapped
 
-        with mock.patch.object(dynamics, "_rk4_step_8", wraps=dynamics._rk4_step_8) as replay:
+        with mock.patch.object(dynamics, "_rk4_generic", wraps=dynamics._rk4_generic) as replay:
             fused = batch_run_results(sc)
         assert not calls and not replay.called
         with mock.patch.object(engagement, "make_interceptor_rhs", make_wrapped_rhs):

@@ -3,7 +3,8 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from reentrysim.dynamics import G0, VehicleState
+from reentrysim.dynamics import G0
+from reentrysim.engagement import GaussianStream, NoiseConfig, Scenario, _VehicleControl
 from reentrysim.errors import DomainError
 from reentrysim.guidance import (
     EvasionConfig,
@@ -13,34 +14,50 @@ from reentrysim.guidance import (
     SeekerModel,
     evasion_radius,
     hold_gain_from_turn,
-    los_angle,
-    phase_command,
-    phase_transition,
-    seeker_acquired,
     wrap_angle,
 )
+from reentrysim.presets import ENTRY
 
 TARGET = (615_000.0, 0.0)
 
 
 def state(v=2000.0, theta=-0.1, y=30_000.0, x=0.0, n=0.0):
-    return VehicleState(t=0.0, x=x, y=y, z=0.0, v=v, theta=theta, n=n)
+    """A vehicle state tuple, as the step loop hands it to the control."""
+    return (x, y, 0.0, v, theta, 0.0, n)
+
+
+def control(phase=GuidancePhase.GRAVITATIONAL, cfg=GuidanceConfig(), seeker=SeekerModel(),
+            target=TARGET, noise=NoiseConfig(), stream=None):
+    """The per-run phase machine the engagement layer flies, in ``phase``."""
+    sc = Scenario(entry=ENTRY, target=target, guidance=cfg, seeker=seeker, noise=noise)
+    ctl = _VehicleControl(sc, stream)
+    ctl.phase = phase
+    return ctl
+
+
+def command(phase, s, cfg, target=TARGET):
+    """The load factor commanded from ``s``, asserting the phase held."""
+    ctl = control(phase, cfg, target=target)
+    u = ctl(0.0, s)
+    assert ctl.phase is phase
+    return u
 
 
 class TestPhaseLaws:
+    # states sit where their phase holds: the laws, not the switches, rule
     def test_gravitational_commands_nothing(self):
         cfg = GuidanceConfig()
-        assert phase_command(GuidancePhase.GRAVITATIONAL, state(), TARGET, cfg) == 0.0
+        assert command(GuidancePhase.GRAVITATIONAL, state(y=85_000.0), cfg) == 0.0
 
     def test_gravitational_cos_theta_variant(self):
         cfg = GuidanceConfig(gravitational_cos_theta=True)
-        u = phase_command(GuidancePhase.GRAVITATIONAL, state(theta=-0.25), TARGET, cfg)
+        u = command(GuidancePhase.GRAVITATIONAL, state(theta=-0.25, y=85_000.0), cfg)
         assert u == pytest.approx(math.cos(-0.25))
 
     def test_pull_up_turn_command(self):
         cfg = GuidanceConfig(pullup_radius=45_000.0)
-        s = state(v=2000.0, theta=-0.1)
-        u = phase_command(GuidancePhase.PULL_UP, s, TARGET, cfg)
+        s = state(v=2000.0, theta=-0.1, y=40_000.0)
+        u = command(GuidancePhase.PULL_UP, s, cfg)
         assert u == pytest.approx(2000.0 ** 2 / (G0 * 45_000.0) + math.cos(-0.1))
         assert u == pytest.approx(10.059, abs=0.01)
 
@@ -48,14 +65,16 @@ class TestPhaseLaws:
         cfg = GuidanceConfig(hold_altitude=35_000.0, hold_gain=0.01)
         s = state(theta=0.0, y=33_000.0)
         # raw command 0.01 * 2000 + 1 = 21 hits the structural limit
-        assert phase_command(GuidancePhase.ALTITUDE_HOLD, s, TARGET, cfg) == cfg.u_max
+        assert command(GuidancePhase.ALTITUDE_HOLD, s, cfg) == cfg.u_max
         near = state(theta=0.0, y=34_950.0)
-        assert phase_command(GuidancePhase.ALTITUDE_HOLD, near, TARGET, cfg) == pytest.approx(1.5)
+        assert command(GuidancePhase.ALTITUDE_HOLD, near, cfg) == pytest.approx(1.5)
 
     def test_terminal_homing_is_pure_in_alpha(self):
         cfg = GuidanceConfig(terminal_gain=240.0)
-        assert phase_command(GuidancePhase.TERMINAL, state(), TARGET, cfg, alpha=0.0) == 0.0
-        u = phase_command(GuidancePhase.TERMINAL, state(), TARGET, cfg, alpha=0.01)
+        los = math.atan2(-10_000.0, 10_000.0)
+        x = TARGET[0] - 10_000.0
+        assert command(GuidancePhase.TERMINAL, state(theta=los, y=10_000.0, x=x), cfg) == 0.0
+        u = command(GuidancePhase.TERMINAL, state(theta=los - 0.01, y=10_000.0, x=x), cfg)
         assert u == pytest.approx(2.4)
 
     @given(
@@ -63,12 +82,15 @@ class TestPhaseLaws:
         v=st.floats(50.0, 8000.0),
         theta=st.floats(-1.5, 1.5),
         y=st.floats(0.0, 90_000.0),
-        alpha=st.floats(-1.0, 1.0),
+        x=st.floats(0.0, 700_000.0),
+        seed=st.integers(0, 2 ** 16),
     )
-    def test_commands_respect_the_structural_limit(self, phase, v, theta, y, alpha):
+    def test_commands_respect_the_structural_limit(self, phase, v, theta, y, x, seed):
+        # seeker noise and turbulence added before the clamp included
         cfg = GuidanceConfig(terminal_gain=4800.0)
-        u = phase_command(phase, state(v=v, theta=theta, y=y), TARGET, cfg, alpha=alpha)
-        assert abs(u) <= cfg.u_max
+        noise = NoiseConfig(seeker_angle_sigma=0.5, turbulence_sigma=20.0)
+        ctl = control(phase, cfg, noise=noise, stream=GaussianStream(seed))
+        assert abs(ctl(0.0, state(v=v, theta=theta, y=y, x=x))) <= cfg.u_max
 
 
 class TestAngles:
@@ -85,56 +107,69 @@ class TestAngles:
         assert math.isclose(math.sin(w), math.sin(a), abs_tol=1e-9)
         assert math.isclose(math.cos(w), math.cos(a), abs_tol=1e-9)
 
+    # the boresight angle alpha of the terminal law and the seeker test
     def test_los_zero_along_velocity(self):
-        s = state(theta=-0.3, y=1000.0)
         d = 5000.0
-        target = (s.x + d * math.cos(s.theta), s.y + d * math.sin(s.theta))
-        assert los_angle(s, target) == pytest.approx(0.0, abs=1e-12)
+        target = (d * math.cos(-0.3), 1000.0 + d * math.sin(-0.3))
+        assert control(target=target)._alpha(0.0, 1000.0, -0.3) == pytest.approx(0.0, abs=1e-12)
 
     def test_los_forty_five_down(self):
-        s = state(theta=0.0, y=1000.0, x=0.0)
-        assert los_angle(s, (1000.0, 0.0)) == pytest.approx(-math.pi / 4)
+        alpha = control(target=(1000.0, 0.0))._alpha(0.0, 1000.0, 0.0)
+        assert alpha == pytest.approx(-math.pi / 4)
 
     def test_los_measures_from_velocity_vector(self):
-        s = state(theta=-0.3, y=1000.0)
         d = 8000.0
-        target = (s.x + d * math.cos(-0.5), s.y + d * math.sin(-0.5))
-        assert los_angle(s, target) == pytest.approx(-0.2)
+        target = (d * math.cos(-0.5), 1000.0 + d * math.sin(-0.5))
+        assert control(target=target)._alpha(0.0, 1000.0, -0.3) == pytest.approx(-0.2)
 
     def test_los_undefined_at_zero_range(self):
-        s = state(y=1000.0)
-        with pytest.raises(DomainError):
-            los_angle(s, (s.x, s.y))
+        # the seeker never acquires on an undefined line of sight
+        ctl = control()
+        ctl(0.0, state(v=300.0, theta=-0.5, y=TARGET[1], x=TARGET[0]))
+        assert ctl.phase is not GuidancePhase.TERMINAL
+        assert ctl.terminal_t is None
+        # two metres short it does
+        ctl(0.0, state(v=300.0, theta=-0.5, y=1.0, x=TARGET[0] - 2.0))
+        assert ctl.phase is GuidancePhase.TERMINAL
 
 
 class TestSeeker:
     SEEKER = SeekerModel(activation_altitude=26_000.0, activation_range=72_000.0)
 
+    def acquires(self, s, target):
+        ctl = control(seeker=self.SEEKER, target=target)
+        ctl(1.0, s)
+        return ctl.phase is GuidancePhase.TERMINAL and ctl.terminal_t == 1.0
+
     def test_acquires_inside_all_gates(self):
         s = state(theta=-0.4, y=20_000.0, x=0.0)
-        target = (40_000.0, 0.0)
-        assert seeker_acquired(s, target, self.SEEKER)
+        assert self.acquires(s, (40_000.0, 0.0))
 
     def test_altitude_gate(self):
         s = state(theta=-0.4, y=30_000.0)
-        assert not seeker_acquired(s, (40_000.0, 0.0), self.SEEKER)
+        assert not self.acquires(s, (40_000.0, 0.0))
 
     def test_range_gate(self):
         s = state(theta=-0.4, y=20_000.0)
-        assert not seeker_acquired(s, (90_000.0, 0.0), self.SEEKER)
+        assert not self.acquires(s, (90_000.0, 0.0))
 
     def test_field_of_regard_gate(self):
         # target behind the vehicle: well outside the boresight cone
         s = state(theta=-0.4, y=20_000.0, x=50_000.0)
-        assert not seeker_acquired(s, (10_000.0, 0.0), self.SEEKER)
+        assert not self.acquires(s, (10_000.0, 0.0))
 
 
 class TestPhaseTransitions:
     CFG = GuidanceConfig(pullup_start_altitude=38_200.0, hold_altitude=35_000.0)
     SEEKER = SeekerModel(activation_altitude=26_000.0, activation_range=72_000.0)
 
+    def control(self, phase):
+        return control(phase, self.CFG, self.SEEKER)
+
     def transition(self, phase, s):
-        return phase_transition(phase, s, self.SEEKER, TARGET, self.CFG)
+        ctl = self.control(phase)
+        ctl(0.0, s)
+        return ctl.phase
 
     def test_stays_ballistic_above_pullup_altitude(self):
         s = state(v=7873.0, theta=-0.0442, y=84_109.0)
@@ -147,10 +182,17 @@ class TestPhaseTransitions:
     def test_pull_up_hands_over_near_the_hold_band(self):
         s = state(theta=-0.05, y=35_400.0, x=400_000.0)
         assert self.transition(GuidancePhase.PULL_UP, s) is GuidancePhase.ALTITUDE_HOLD
+        # from GRAVITATIONAL both switches fire in one call; the event
+        # timeline records the phase it ends in
+        ctl = self.control(GuidancePhase.GRAVITATIONAL)
+        ctl(2.0, s)
+        assert ctl.phase is GuidancePhase.ALTITUDE_HOLD
+        assert ctl.events == [(0.0, "phase:GRAVITATIONAL"), (2.0, "phase:ALTITUDE_HOLD")]
 
     def test_pull_up_hands_over_once_level(self):
         s = state(theta=0.01, y=37_000.0, x=400_000.0)
         assert self.transition(GuidancePhase.PULL_UP, s) is GuidancePhase.ALTITUDE_HOLD
+        assert self.transition(GuidancePhase.GRAVITATIONAL, s) is GuidancePhase.ALTITUDE_HOLD
 
     def test_acquisition_preempts_everything(self):
         s = state(theta=-0.4, y=20_000.0, x=TARGET[0] - 40_000.0)

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from reentrysim.atmosphere import DEFAULT_ATMOSPHERE
-from reentrysim.dynamics import G0, InterceptorState, VehicleState, _rk4_generic
-from reentrysim import interceptor
-from reentrysim.errors import ConfigError, DomainError
+from reentrysim.dynamics import G0, _rk4_generic
+from reentrysim import engagement, interceptor
+from reentrysim.errors import DomainError
 from reentrysim.interceptor import (
     CalibrationResult,
     ENGAGEMENT_ZONES,
     FlightProfile,
+    LaunchPlan,
     ProfilePoint,
     ReachTable,
     TYPE1_CALIBRATION_PITCH,
@@ -22,8 +23,6 @@ from reentrysim.interceptor import (
     TYPE2_SPECIFIC_IMPULSE,
     calibrate_type1,
     calibrate_type2,
-    effective_zone,
-    interceptor_guidance,
     kill_probability,
     launch_decision,
     pinned_pitch_profile,
@@ -314,16 +313,6 @@ class TestZones:
         with pytest.raises(DomainError):
             zone_classify(-1.0, 1000.0)
 
-    def test_effective_envelopes(self):
-        e1 = effective_zone("type-1")
-        assert (e1.d_low, e1.d_high) == (2500.0, 10_000.0)
-        assert e1.p_ceiling == 0.6
-        e2 = effective_zone("type-2")
-        assert (e2.h_low, e2.h_high) == (3500.0, 11_000.0)
-        assert e2.p_ceiling == 0.5
-        with pytest.raises(ConfigError):
-            effective_zone("type-3")
-
 
 class TestKillProbability:
     def test_rows_returned_exactly_at_their_coordinates(self):
@@ -423,31 +412,35 @@ class TestReachAndLaunch:
 
 class TestProportionalNavigation:
     def interceptor(self, v=800.0, theta=0.0):
-        return InterceptorState(t=0.0, x=0.0, y=5_000.0, z=0.0, v=v, theta=theta, w=0.0, n=0.0, mass=500.0)
+        """A type-1 missile of the engagement loop, in flight at 5 km."""
+        site = engagement.InterceptorSite(x=0.0, kind="type-1")
+        plan = LaunchPlan(0.0, theta, 0.0, 0.0, 0.0, 1, 0.0)
+        missile = engagement._Missile(site, plan, DEFAULT_ATMOSPHERE, G0)
+        missile.state = (0.0, 5_000.0, 0.0, v, theta, 0.0, 0.0, 500.0)
+        return missile
+
+    @staticmethod
+    def target(x, y, v, theta):
+        return (x, y, 0.0, v, theta, 0.0, 0.0)
 
     def test_collision_course_needs_only_gravity_hold(self):
         me = self.interceptor(theta=0.0)
-        target = VehicleState(t=0.0, x=10_000.0, y=5_000.0, z=0.0, v=2000.0, theta=math.pi)
-        u = interceptor_guidance(me, target)
+        u = me.pn_command(self.target(10_000.0, 5_000.0, 2000.0, math.pi))
         assert u == pytest.approx(math.cos(0.0))
 
     def test_command_scales_with_los_rate_and_closing_speed(self):
         me = self.interceptor(v=0.0 + 1e-12, theta=0.0)
+        assert me.spec.nav_gain == 4.0
         # geometry tuned for closing speed 1000 and LOS rate 0.01
-        target = VehicleState(
-            t=0.0, x=1_000.0, y=5_000.0, z=0.0,
-            v=math.hypot(1000.0, 10.0), theta=math.atan2(10.0, -1000.0),
-        )
-        u = interceptor_guidance(me, target, nav_gain=4.0)
+        target = self.target(1_000.0, 5_000.0, math.hypot(1000.0, 10.0), math.atan2(10.0, -1000.0))
+        u = me.pn_command(target)
         assert u == pytest.approx(4.0 * (1000.0 / G0) * 0.01 + 1.0, rel=1e-9)
 
     def test_command_clamped(self):
         me = self.interceptor(v=2000.0, theta=0.2)
-        target = VehicleState(t=0.0, x=100.0, y=5_050.0, z=0.0, v=2500.0, theta=-2.9)
-        assert abs(interceptor_guidance(me, target)) <= 25.0
+        assert me.spec.u_max == 25.0
+        assert abs(me.pn_command(self.target(100.0, 5_050.0, 2500.0, -2.9))) == 25.0
 
-    def test_zero_range_rejected(self):
+    def test_zero_range_commands_nothing(self):
         me = self.interceptor()
-        target = VehicleState(t=0.0, x=me.x, y=me.y, z=0.0, v=2000.0, theta=0.0)
-        with pytest.raises(DomainError):
-            interceptor_guidance(me, target)
+        assert me.pn_command(self.target(0.0, 5_000.0, 2000.0, 0.0)) == 0.0

@@ -2,14 +2,19 @@
 
 ``perfbench/spans.py`` lists them; a boundary that no longer resolves
 turns its per-layer metrics into None.  This loads that list by path and
-checks every entry against the package, so a rename shows up here.
+checks every entry against the package, so a rename shows up here, and
+traces two short runs, so a run that steps past a boundary shows up too.
 """
 
 import importlib
 import importlib.util
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
+
+from reentrysim import engagement
+from reentrysim.presets import scenario_for_range, terminal_engagement_scenario
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -37,3 +42,26 @@ def test_every_traced_boundary_resolves(module_name, class_name, attr, span, kin
 def test_every_traced_cache_resolves(name):
     engagement = importlib.import_module("reentrysim.engagement")
     assert getattr(engagement, name).cache_info().maxsize > 0
+
+
+def test_traced_runs_step_through_the_boundaries(tmp_path):
+    base = scenario_for_range(615_000)
+    vehicle_only = replace(base, integrator=replace(base.integrator, t_max=2.0))
+    engaged = terminal_engagement_scenario(700.0, "type-1")
+    # warm the launch-planning caches, so every traced step is a run's own
+    assert any(label.startswith("launch:") for _, label in
+               engagement.simulate_engagement(engaged).events)
+    tracer = spans.Tracer(str(tmp_path))
+    tracer.install()
+    try:
+        engagement.simulate_vehicle_run(vehicle_only)
+        assert tracer.counters["vehicle_steps"] == 100
+        engagement.simulate_engagement(engaged)
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics()
+    assert tracer.missing == []
+    assert tracer.counters["vehicle_steps"] > 100
+    assert tracer.counters["interceptor_steps"] > 0
+    assert metrics["dynamics.rhs_per_step"] == 4.0
+    assert metrics["guidance.control.calls"] == tracer.counters["vehicle_steps"]
