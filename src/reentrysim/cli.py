@@ -42,64 +42,56 @@ ENV_PREFIX = "REENTRYSIM_"  # REENTRYSIM_SEED=7 reentrysim batch == --seed 7
 DEFAULT_PRESET = "x615"
 SWEEP_SPEEDS = (1200.0, 1400.0, 1600.0, 1800.0, 2000.0)
 
-_FLOAT, _INT, _BOOL, _STR = "float", "int", "bool", "str"
+_FLOAT, _INT, _BOOL, _STR, _SITES = "float", "int", "bool", "str", "sites"
 
-# Scenario file schema: every key maps onto one field of the resolved
-# scenario.  parse -> dump -> parse is an identity for anything built
-# through this table.
-_SCHEMA = {
-    "atmosphere": {
-        "rho0": _FLOAT,
-        "k_decay": _FLOAT,
-    },
-    "vehicle": {
-        "mass": _FLOAT,
-        "wing_area": _FLOAT,
-        "lift_to_drag": _FLOAT,
-        "lag_time": _FLOAT,
-        "entry_x": _FLOAT,
-        "entry_altitude": _FLOAT,
-        "entry_speed": _FLOAT,
-        "entry_theta": _FLOAT,
-    },
-    "guidance": {
-        "pullup_start_altitude": _FLOAT,
-        "pullup_radius": _FLOAT,
-        "hold_altitude": _FLOAT,
-        "hold_band": _FLOAT,
-        "hold_gain": _FLOAT,
-        "terminal_gain": _FLOAT,
-        "u_max": _FLOAT,
-        "gravitational_cos_theta": _BOOL,
-        "seeker_altitude": _FLOAT,
-        "seeker_range": _FLOAT,
-        "field_of_regard": _FLOAT,
-        "evasion_enabled": _BOOL,
-        "evasion_turn_radius": _FLOAT,
-        "evasion_speed": _FLOAT,
-        "evasion_dwell": _FLOAT,
-        "target_x": _FLOAT,
-        "target_y": _FLOAT,
-    },
-    "interceptors": {
-        "sites": _STR,
-        "kill_radius": _FLOAT,
-    },
-    "noise": {
-        "seeker_angle_sigma": _FLOAT,
-        "atmosphere_density_sigma": _FLOAT,
-        "turbulence_sigma": _FLOAT,
-    },
-    "batch": {
-        "preset": _STR,
-        "runs": _INT,
-        "seed": _INT,
-        "dt": _FLOAT,
-        "t_max": _FLOAT,
-        "g": _FLOAT,
-        "sample_interval": _FLOAT,
-    },
-}
+# Scenario file schema, one row per key: (section, key, kind, path).  The
+# path is the dotted Scenario field the key sets, a digit indexing a tuple;
+# parse_scenario, dump_scenario and the --seed/--n/--dt flags all go
+# through it, so parse -> dump -> parse is an identity for anything built
+# from a file.  Rows are in dump order.
+_KEYS = (
+    ("atmosphere", "rho0", _FLOAT, "atmosphere.rho0"),
+    ("atmosphere", "k_decay", _FLOAT, "atmosphere.k_decay"),
+    ("vehicle", "mass", _FLOAT, "vehicle.mass"),
+    ("vehicle", "wing_area", _FLOAT, "vehicle.wing_area"),
+    ("vehicle", "lift_to_drag", _FLOAT, "vehicle.lift_to_drag"),
+    ("vehicle", "lag_time", _FLOAT, "vehicle.lag_time"),
+    ("vehicle", "entry_x", _FLOAT, "entry.x"),
+    ("vehicle", "entry_altitude", _FLOAT, "entry.y"),
+    ("vehicle", "entry_speed", _FLOAT, "entry.v"),
+    ("vehicle", "entry_theta", _FLOAT, "entry.theta"),
+    ("guidance", "pullup_start_altitude", _FLOAT, "guidance.pullup_start_altitude"),
+    ("guidance", "pullup_radius", _FLOAT, "guidance.pullup_radius"),
+    ("guidance", "hold_altitude", _FLOAT, "guidance.hold_altitude"),
+    ("guidance", "hold_band", _FLOAT, "guidance.hold_band"),
+    ("guidance", "hold_gain", _FLOAT, "guidance.hold_gain"),
+    ("guidance", "terminal_gain", _FLOAT, "guidance.terminal_gain"),
+    ("guidance", "u_max", _FLOAT, "guidance.u_max"),
+    ("guidance", "gravitational_cos_theta", _BOOL, "guidance.gravitational_cos_theta"),
+    ("guidance", "seeker_altitude", _FLOAT, "seeker.activation_altitude"),
+    ("guidance", "seeker_range", _FLOAT, "seeker.activation_range"),
+    ("guidance", "field_of_regard", _FLOAT, "seeker.field_of_regard"),
+    ("guidance", "evasion_enabled", _BOOL, "evasion.enabled"),
+    ("guidance", "evasion_turn_radius", _FLOAT, "evasion.interceptor_turn_radius"),
+    ("guidance", "evasion_speed", _FLOAT, "evasion.interceptor_speed"),
+    ("guidance", "evasion_dwell", _FLOAT, "evasion.dwell"),
+    ("guidance", "target_x", _FLOAT, "target.0"),
+    ("guidance", "target_y", _FLOAT, "target.1"),
+    ("interceptors", "sites", _SITES, "sites"),
+    ("interceptors", "kill_radius", _FLOAT, "kill_radius"),
+    ("noise", "seeker_angle_sigma", _FLOAT, "noise.seeker_angle_sigma"),
+    ("noise", "atmosphere_density_sigma", _FLOAT, "noise.atmosphere_density_sigma"),
+    ("noise", "turbulence_sigma", _FLOAT, "noise.turbulence_sigma"),
+    ("batch", "preset", _STR, None),  # the base scenario: read first, never dumped
+    ("batch", "runs", _INT, "runs"),
+    ("batch", "seed", _INT, "seed"),
+    ("batch", "dt", _FLOAT, "integrator.dt"),
+    ("batch", "t_max", _FLOAT, "integrator.t_max"),
+    ("batch", "g", _FLOAT, "integrator.g"),
+    ("batch", "sample_interval", _FLOAT, "integrator.sample_interval"),
+)
+_ROWS = {(section, key): (kind, path) for section, key, kind, path in _KEYS}
+_SECTIONS = {row[0] for row in _KEYS}
 
 
 def _cast(section: str, key: str, kind: str, raw: str, source: str):
@@ -118,6 +110,8 @@ def _cast(section: str, key: str, kind: str, raw: str, source: str):
             if lowered in ("0", "false", "no", "off"):
                 return False
             raise ValueError(f"not a boolean: {raw!r}")
+        if kind == _SITES:
+            return _parse_sites(raw)
         return raw.strip()
     except ValueError as err:
         raise ConfigError(
@@ -125,7 +119,7 @@ def _cast(section: str, key: str, kind: str, raw: str, source: str):
         ) from err
 
 
-def _parse_sites(text: str, source: str) -> tuple:
+def _parse_sites(text: str) -> tuple:
     body = text.strip()
     if not body:
         return ()
@@ -138,124 +132,15 @@ def _parse_sites(text: str, source: str) -> tuple:
             if not math.isfinite(x):
                 raise ValueError(f"not a finite number: {pos.strip()!r}")
         except ValueError as err:
-            raise ConfigError(
-                f"{source}: bad site entry {entry!r} in [interceptors], want 'x:kind'"
-            ) from err
+            raise ValueError(f"bad site entry {entry!r}, want 'x:kind'") from err
         sites.append(InterceptorSite(x=x, kind=kind.strip() if sep else "type-1"))
     return tuple(sites)
 
 
-def _replace_fields(current, mapping: dict, vals: dict, section: str):
-    updates = {
-        field: vals[(section, key)]
-        for field, key in mapping.items()
-        if (section, key) in vals
-    }
-    return dataclasses.replace(current, **updates) if updates else current
-
-
-def _build_scenario(cp: configparser.ConfigParser, source: str) -> Scenario:
-    vals = {}
-    for section in cp.sections():
-        if section not in _SCHEMA:
-            raise ConfigError(f"{source}: unknown section [{section}]")
-        keys = _SCHEMA[section]
-        for key, raw in cp.items(section):
-            if key not in keys:
-                raise ConfigError(f"{source}: unknown key {key!r} in [{section}]")
-            vals[(section, key)] = _cast(section, key, keys[key], raw, source)
-
-    scenario = named_scenario(vals.pop(("batch", "preset"), DEFAULT_PRESET))
-    scenario = dataclasses.replace(
-        scenario,
-        atmosphere=_replace_fields(
-            scenario.atmosphere, {"rho0": "rho0", "k_decay": "k_decay"}, vals, "atmosphere"
-        ),
-        vehicle=_replace_fields(
-            scenario.vehicle,
-            {"mass": "mass", "wing_area": "wing_area",
-             "lift_to_drag": "lift_to_drag", "lag_time": "lag_time"},
-            vals, "vehicle",
-        ),
-        entry=_replace_fields(
-            scenario.entry,
-            {"x": "entry_x", "y": "entry_altitude",
-             "v": "entry_speed", "theta": "entry_theta"},
-            vals, "vehicle",
-        ),
-        guidance=_replace_fields(
-            scenario.guidance,
-            {"pullup_start_altitude": "pullup_start_altitude",
-             "pullup_radius": "pullup_radius",
-             "hold_altitude": "hold_altitude",
-             "hold_band": "hold_band",
-             "hold_gain": "hold_gain",
-             "terminal_gain": "terminal_gain",
-             "u_max": "u_max",
-             "gravitational_cos_theta": "gravitational_cos_theta"},
-            vals, "guidance",
-        ),
-        seeker=_replace_fields(
-            scenario.seeker,
-            {"activation_altitude": "seeker_altitude",
-             "activation_range": "seeker_range",
-             "field_of_regard": "field_of_regard"},
-            vals, "guidance",
-        ),
-        evasion=_replace_fields(
-            scenario.evasion,
-            {"enabled": "evasion_enabled",
-             "interceptor_turn_radius": "evasion_turn_radius",
-             "interceptor_speed": "evasion_speed",
-             "dwell": "evasion_dwell"},
-            vals, "guidance",
-        ),
-        noise=_replace_fields(
-            scenario.noise,
-            {"seeker_angle_sigma": "seeker_angle_sigma",
-             "atmosphere_density_sigma": "atmosphere_density_sigma",
-             "turbulence_sigma": "turbulence_sigma"},
-            vals, "noise",
-        ),
-        integrator=_replace_fields(
-            scenario.integrator,
-            {"dt": "dt", "t_max": "t_max", "g": "g",
-             "sample_interval": "sample_interval"},
-            vals, "batch",
-        ),
-        target=(
-            vals.get(("guidance", "target_x"), scenario.target[0]),
-            vals.get(("guidance", "target_y"), scenario.target[1]),
-        ),
-    )
-    if ("interceptors", "sites") in vals:
-        scenario = dataclasses.replace(
-            scenario, sites=_parse_sites(vals[("interceptors", "sites")], source)
-        )
-    simple = {"kill_radius": ("interceptors", "kill_radius"),
-              "runs": ("batch", "runs"),
-              "seed": ("batch", "seed")}
-    updates = {field: vals[loc] for field, loc in simple.items() if loc in vals}
-    if updates:
-        scenario = dataclasses.replace(scenario, **updates)
-    return scenario
-
-
-def parse_scenario(path) -> Scenario:
-    """Load and fully resolve a scenario file.
-
-    Missing sections fall back to the preset named by [batch] preset
-    (default x615), so an empty file yields that canonical descent.
-    """
-    cp = configparser.ConfigParser(interpolation=None)
-    try:
-        with open(path, encoding="utf-8") as fh:
-            cp.read_file(fh, source=str(path))
-    except OSError as err:
-        raise ConfigError(f"cannot read scenario file: {err}") from err
-    except configparser.Error as err:
-        raise ConfigError(f"scenario parse error: {err}") from err
-    return _build_scenario(cp, str(path))
+def _fmt(kind: str, value) -> str:
+    if kind == _SITES:
+        return ", ".join(f"{site.x!r}:{site.kind}" for site in value)
+    return _fmt_value(value)
 
 
 def _fmt_value(value) -> str:
@@ -266,62 +151,78 @@ def _fmt_value(value) -> str:
     return str(value)
 
 
+def _get_path(obj, path: str):
+    for name in path.split("."):
+        obj = obj[int(name)] if name.isdigit() else getattr(obj, name)
+    return obj
+
+
+def _with_paths(obj, values: dict):
+    """Return obj with each dotted path in values set.
+
+    Values are grouped by their first segment and every level is rebuilt
+    once, so a sub-config checks all its new fields together (dt and
+    sample_interval, say) rather than one at a time.
+    """
+    if "" in values:  # the path ends here
+        return values[""]
+    groups = {}
+    for path, value in values.items():
+        head, _, rest = path.partition(".")
+        groups.setdefault(head, {})[rest] = value
+    if isinstance(obj, tuple):
+        return tuple(
+            _with_paths(item, groups[str(i)]) if str(i) in groups else item
+            for i, item in enumerate(obj)
+        )
+    return dataclasses.replace(
+        obj, **{head: _with_paths(getattr(obj, head), sub) for head, sub in groups.items()}
+    )
+
+
+def parse_scenario(path) -> Scenario:
+    """Load and fully resolve a scenario file.
+
+    Missing sections fall back to the preset named by [batch] preset
+    (default x615), so an empty file yields that canonical descent.
+    """
+    cp = configparser.ConfigParser(interpolation=None)
+    source = str(path)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            cp.read_file(fh, source=source)
+    except OSError as err:
+        raise ConfigError(f"cannot read scenario file: {err}") from err
+    except configparser.Error as err:
+        raise ConfigError(f"scenario parse error: {err}") from err
+    if cp.defaults():  # its keys would leak into every section
+        raise ConfigError(f"{source}: unknown section [{cp.default_section}]")
+    values = {}
+    for section in cp.sections():
+        if section not in _SECTIONS:
+            raise ConfigError(f"{source}: unknown section [{section}]")
+        for key, raw in cp.items(section):
+            if (section, key) not in _ROWS:
+                raise ConfigError(f"{source}: unknown key {key!r} in [{section}]")
+            kind, field_path = _ROWS[(section, key)]
+            values[field_path] = _cast(section, key, kind, raw, source)
+    return _with_paths(named_scenario(values.pop(None, DEFAULT_PRESET)), values)
+
+
 def dump_scenario(scenario: Scenario) -> str:
     """Render a scenario in the file format parse_scenario reads.
 
     Writes every key the format exposes with its resolved value, so
     parsing the dump reproduces any scenario that came from a file.
-    Fields outside the format (custom drag tables, per-site spec
-    overrides) are not representable and are dropped.
+    Fields outside the format (entry t/z/w/n, custom drag tables,
+    per-site spec overrides) are not representable and are dropped.
     """
-    values = {
-        ("atmosphere", "rho0"): scenario.atmosphere.rho0,
-        ("atmosphere", "k_decay"): scenario.atmosphere.k_decay,
-        ("vehicle", "mass"): scenario.vehicle.mass,
-        ("vehicle", "wing_area"): scenario.vehicle.wing_area,
-        ("vehicle", "lift_to_drag"): scenario.vehicle.lift_to_drag,
-        ("vehicle", "lag_time"): scenario.vehicle.lag_time,
-        ("vehicle", "entry_x"): scenario.entry.x,
-        ("vehicle", "entry_altitude"): scenario.entry.y,
-        ("vehicle", "entry_speed"): scenario.entry.v,
-        ("vehicle", "entry_theta"): scenario.entry.theta,
-        ("guidance", "pullup_start_altitude"): scenario.guidance.pullup_start_altitude,
-        ("guidance", "pullup_radius"): scenario.guidance.pullup_radius,
-        ("guidance", "hold_altitude"): scenario.guidance.hold_altitude,
-        ("guidance", "hold_band"): scenario.guidance.hold_band,
-        ("guidance", "hold_gain"): scenario.guidance.hold_gain,
-        ("guidance", "terminal_gain"): scenario.guidance.terminal_gain,
-        ("guidance", "u_max"): scenario.guidance.u_max,
-        ("guidance", "gravitational_cos_theta"): scenario.guidance.gravitational_cos_theta,
-        ("guidance", "seeker_altitude"): scenario.seeker.activation_altitude,
-        ("guidance", "seeker_range"): scenario.seeker.activation_range,
-        ("guidance", "field_of_regard"): scenario.seeker.field_of_regard,
-        ("guidance", "evasion_enabled"): scenario.evasion.enabled,
-        ("guidance", "evasion_turn_radius"): scenario.evasion.interceptor_turn_radius,
-        ("guidance", "evasion_speed"): scenario.evasion.interceptor_speed,
-        ("guidance", "evasion_dwell"): scenario.evasion.dwell,
-        ("guidance", "target_x"): scenario.target[0],
-        ("guidance", "target_y"): scenario.target[1],
-        ("interceptors", "sites"): ", ".join(
-            f"{site.x!r}:{site.kind}" for site in scenario.sites
-        ),
-        ("interceptors", "kill_radius"): scenario.kill_radius,
-        ("noise", "seeker_angle_sigma"): scenario.noise.seeker_angle_sigma,
-        ("noise", "atmosphere_density_sigma"): scenario.noise.atmosphere_density_sigma,
-        ("noise", "turbulence_sigma"): scenario.noise.turbulence_sigma,
-        ("batch", "runs"): scenario.runs,
-        ("batch", "seed"): scenario.seed,
-        ("batch", "dt"): scenario.integrator.dt,
-        ("batch", "t_max"): scenario.integrator.t_max,
-        ("batch", "g"): scenario.integrator.g,
-        ("batch", "sample_interval"): scenario.integrator.sample_interval,
-    }
     cp = configparser.ConfigParser(interpolation=None)
-    for section, keys in _SCHEMA.items():
-        cp.add_section(section)
-        for key in keys:
-            if (section, key) in values:
-                cp.set(section, key, _fmt_value(values[(section, key)]))
+    for section, key, kind, path in _KEYS:
+        if not cp.has_section(section):
+            cp.add_section(section)
+        if path is not None:
+            cp.set(section, key, _fmt(kind, _get_path(scenario, path)))
     buf = io.StringIO()
     cp.write(buf)
     return buf.getvalue()
@@ -526,14 +427,8 @@ def _load_scenario(args) -> Scenario:
         scenario = named_scenario(args.scenario)
     else:
         scenario = parse_scenario(args.scenario)
-    updates = {}
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.n is not None:
-        updates["runs"] = args.n
-    if args.dt is not None:
-        updates["integrator"] = dataclasses.replace(scenario.integrator, dt=args.dt)
-    return dataclasses.replace(scenario, **updates) if updates else scenario
+    flags = {"seed": args.seed, "runs": args.n, "integrator.dt": args.dt}
+    return _with_paths(scenario, {p: v for p, v in flags.items() if v is not None})
 
 
 def _ensure_out(path: str) -> str:

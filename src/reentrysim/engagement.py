@@ -169,6 +169,8 @@ class Scenario:
     def __post_init__(self):
         if self.runs < 1:
             raise ConfigError(f"runs must be >= 1, got {self.runs}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not self.kill_radius > 0.0:
             raise ConfigError(f"kill_radius must be > 0, got {self.kill_radius}")
         if len(self.target) != 2:
@@ -395,11 +397,16 @@ def _predicted_track(scenario: Scenario) -> tuple:
     The track is the same for every run of a batch (the defender plans on
     the nominal atmosphere), so it is cached on the quieted scenario.
     """
-    return _nominal_track(replace(_noise_free(scenario), seed=0))
+    track = _nominal_track(replace(_noise_free(scenario), seed=0))
+    if isinstance(track, IntegrationAbort):
+        raise IntegrationAbort(track.reason, track.t, track.state)
+    return track
 
 
 @lru_cache(maxsize=8)
-def _nominal_track(quiet: Scenario) -> tuple:
+def _nominal_track(quiet: Scenario) -> tuple | IntegrationAbort:
+    # An abort is returned rather than raised: lru_cache keeps no
+    # exceptions, and every run of the batch would fly the descent again.
     icfg = quiet.integrator
     rhs = make_vehicle_rhs(quiet.vehicle, quiet.atmosphere, icfg.g)
     control = _VehicleControl(quiet, None)
@@ -408,14 +415,17 @@ def _nominal_track(quiet: Scenario) -> tuple:
     t0 = quiet.entry.t
     y = quiet.entry.as_vector()
     track = [(t0, y[0], y[1])]
-    for k in range(n_max):
-        t = t0 + k * dt
-        u = control(t, y)
-        y_next = rk4_step(rhs, t, y, u, dt)
-        track.append((t0 + (k + 1) * dt, y_next[0], y_next[1]))
-        if y_next[1] <= 0.0:
-            break
-        y = y_next
+    try:
+        for k in range(n_max):
+            t = t0 + k * dt
+            u = control(t, y)
+            y_next = rk4_step(rhs, t, y, u, dt)
+            track.append((t0 + (k + 1) * dt, y_next[0], y_next[1]))
+            if y_next[1] <= 0.0:
+                break
+            y = y_next
+    except IntegrationAbort as abort:
+        return abort.with_traceback(None)
     return tuple(track)
 
 

@@ -1,14 +1,60 @@
+import hashlib
 import json
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from reentrysim.cli import dump_scenario, main, parse_scenario
+from reentrysim.cli import _KEYS, _cast, _get_path, dump_scenario, main, parse_scenario
+from reentrysim.engagement import _nominal_track
 from reentrysim.errors import ConfigError
+from reentrysim.presets import NAMED_PRESETS, named_scenario
 
 
 def write(path, text):
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+_ROW = {row[:2]: row for row in _KEYS}  # (section, key) -> schema row
+_BASE = named_scenario("x615")
+
+
+def _value_text(row):
+    """Text of a valid value for one schema row, in any accepted spelling."""
+    _section, _key, kind, path = row
+    if kind == "float":
+        # every bound in the configs is a sign or lies beyond twice the
+        # x615 value (dt <= 1 s, field_of_regard <= pi, sample_interval
+        # >= dt), so scaling it by 0.5-2 keeps the file valid
+        base = _get_path(_BASE, path) or 1.0
+        spell = st.sampled_from([repr, "{:.6e}".format, "{:g}".format, " {} ".format])
+        return st.tuples(st.floats(0.5, 2.0), spell).map(lambda fs: fs[1](base * fs[0]))
+    if kind == "int":
+        low = 1 if path == "runs" else 0
+        return st.integers(low, 2**64).map(str)
+    if kind == "bool":
+        spellings = ["1", "true", "yes", "on", "0", "false", "no", "off", "True", " OFF"]
+        return st.sampled_from(spellings)
+    if kind == "sites":
+        entry = st.tuples(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.sampled_from(["", ":type-1", ": type-2"]),
+        ).map(lambda xk: f"{xk[0]!r}{xk[1]}")
+        return st.lists(entry, max_size=4).map(", ".join)
+    return st.sampled_from(sorted(NAMED_PRESETS))
+
+
+_ENTRIES = st.lists(st.sampled_from(_KEYS), unique=True).flatmap(
+    lambda rows: st.tuples(*(_value_text(row).map(lambda text, row=row: (row, text))
+                             for row in rows))
+)
+
+
+def _scenario_text(entries) -> str:
+    sections = {}
+    for (section, key, _kind, _path), text in entries:
+        sections.setdefault(section, []).append(f"{key} = {text}\n")
+    return "".join(f"[{section}]\n{''.join(lines)}\n" for section, lines in sections.items())
 
 
 class TestScenarioFiles:
@@ -18,25 +64,27 @@ class TestScenarioFiles:
         assert sc.entry.y == 84_109.0
         assert sc.target[0] == pytest.approx(615_019.4)
 
-    def test_round_trip_is_identity(self, tmp_path):
-        text = """
-[batch]
-preset = x800
-seed = 9
-runs = 12
-
-[guidance]
-hold_altitude = 33000
-terminal_gain = 900
-
-[noise]
-turbulence_sigma = 0.35
-
-[interceptors]
-sites = 21000:type-2, 9000
-kill_radius = 25
-"""
-        first = parse_scenario(write(tmp_path / "a.ini", text))
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture], deadline=None)
+    @given(entries=_ENTRIES)
+    @example(entries=(  # sample_interval below the preset dt: the two go in together
+        (_ROW[("batch", "sample_interval")], "0.01"),
+        (_ROW[("batch", "dt")], "0.005"),
+    ))
+    @example(entries=(
+        (_ROW[("batch", "preset")], "x800"),
+        (_ROW[("batch", "seed")], "9"),
+        (_ROW[("batch", "runs")], "12"),
+        (_ROW[("guidance", "hold_altitude")], "33000"),
+        (_ROW[("guidance", "terminal_gain")], "900"),
+        (_ROW[("noise", "turbulence_sigma")], "0.35"),
+        (_ROW[("interceptors", "sites")], "21000:type-2, 9000"),
+        (_ROW[("interceptors", "kill_radius")], "25"),
+    ))
+    def test_round_trip_is_identity(self, tmp_path, entries):
+        first = parse_scenario(write(tmp_path / "a.ini", _scenario_text(entries)))
+        for (section, key, kind, path), text in entries:
+            if path is not None:
+                assert _get_path(first, path) == _cast(section, key, kind, text, "a.ini")
         dumped = dump_scenario(first)
         second = parse_scenario(write(tmp_path / "b.ini", dumped))
         assert second == first
@@ -78,8 +126,22 @@ kill_radius = 25
 
     def test_bad_site_entry(self, tmp_path):
         path = write(tmp_path / "s.ini", "[interceptors]\nsites = 9000:type-9\n")
-        with pytest.raises(ConfigError, match="type-9"):
+        with pytest.raises(ConfigError) as err:
             parse_scenario(path)
+        assert "type-9" in str(err.value)
+        assert path in str(err.value)
+        assert "[interceptors]" in str(err.value)
+
+    @pytest.mark.parametrize("text", [
+        "[DEFAULT]\nseed = 3\n",
+        "[DEFAULT]\nseed = 3\n\n[batch]\nruns = 2\n",
+    ])
+    def test_default_section_rejected(self, tmp_path, text):
+        path = write(tmp_path / "s.ini", text)
+        with pytest.raises(ConfigError) as err:
+            parse_scenario(path)
+        assert "[DEFAULT]" in str(err.value)
+        assert path in str(err.value)
 
     @pytest.mark.parametrize("raw", ["inf", "nan", "-inf", " Infinity"])
     def test_non_finite_number_names_the_key_and_section(self, tmp_path, raw):
@@ -109,6 +171,15 @@ class TestCommands:
         assert manifest["outputs"] == ["trajectory.csv"]
         assert manifest["scenario"]["entry"]["v"] == 7873.0
         assert "seed" in manifest and "version" in manifest
+
+    @pytest.mark.parametrize("preset, digest", [
+        ("x615", "9fee8f1d1669b22243e07191df99e412781320865479d07255355090b27b124e"),
+        ("x800", "9a69ed5e6af145200f9b1db3056b813b027fe957afb64bb4bd41469ae17278cd"),
+        ("x950", "a1b18b89b77c9125ad7aed90ceca91fc559fce3c0f41ff422fb05517feb1abb3"),
+    ])
+    def test_dump_bytes_are_pinned(self, capsys, preset, digest):
+        assert main(["dump", "--scenario", preset]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
     def test_dump_prints_a_loadable_scenario(self, tmp_path, capsys):
         assert main(["dump", "--scenario", "x950"]) == 0
@@ -183,10 +254,21 @@ class TestCommands:
             "[vehicle]\nentry_speed = 50.0\nentry_theta = 1.5707\n\n"
             "[interceptors]\nsites = 21000.0:type-1\n",
         )
-        assert main(["batch", "--scenario", ini, "--n", "2", "--out", str(tmp_path / "o")]) == 1
-        assert "error: all 2 runs failed" in capsys.readouterr().err
+        _nominal_track.cache_clear()
+        assert main(["batch", "--scenario", ini, "--n", "5", "--out", str(tmp_path / "o")]) == 1
+        assert "error: all 5 runs failed" in capsys.readouterr().err
+        # the aborted nominal descent is flown once, not once per run
+        info = _nominal_track.cache_info()
+        assert (info.misses, info.hits) == (1, 4)
 
     def test_config_errors_exit_nonzero(self, tmp_path, capsys):
         ini = write(tmp_path / "s.ini", "[batch]\ndt = 0\n")
         assert main(["fly", "--scenario", ini, "--out", str(tmp_path / "o")]) == 1
         assert "dt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("how", ["flag", "file"])
+    def test_negative_seed_is_a_config_error(self, tmp_path, capsys, how):
+        ini = write(tmp_path / "s.ini", "[batch]\nseed = -5\n")
+        args = ["--seed", "-1"] if how == "flag" else ["--scenario", ini]
+        assert main(["batch", "--n", "2", "--out", str(tmp_path / "o")] + args) == 1
+        assert "error: seed must be >= 0" in capsys.readouterr().err
