@@ -565,6 +565,12 @@ def integrate_until(
     the touchdown state linearly inside the final step; custom stop events
     are predicates (name, fn(t, y) -> bool) checked on each post-step
     state without interpolation.
+
+    This is the public driver, and the oracle that the Monte Carlo step
+    loop (``engagement._fly``) is pinned to by test.  It stays separate
+    because the benchmark's traced run times the steps at
+    ``engagement.rk4_step``: a loop here would hide every production step
+    from it until that span moves.
     """
     dt = config.dt
     interval = config.sample_interval if sample_interval is None else sample_interval

@@ -6,6 +6,11 @@ the scenario seed, and results fold in index order regardless of worker
 count.  Three noise channels ride separate substreams per run (density
 multiplier, load-factor turbulence, seeker boresight), which keeps the
 draw sequences aligned across scenario variants sharing a seed.
+
+Every flight steps through one loop, ``_fly``: vehicle-only runs, the
+noise-free track that launch planning reads, and defended runs, which hook
+their launches and evasion into the command and their missiles into each
+step.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ import numpy as np
 
 from .atmosphere import DEFAULT_ATMOSPHERE, AtmosphereModel
 from .dynamics import (
-    G0,
     IntegratorConfig,
     VehicleSpec,
     VehicleState,
@@ -39,7 +43,6 @@ from .guidance import (
     wrap_angle,
 )
 from .interceptor import (
-    ENGAGEMENT_ZONES,
     InterceptorSpec,
     ReachTable,
     launch_decision,
@@ -177,6 +180,8 @@ class Scenario:
             raise ConfigError("target must be an (x, y) pair")
         if not self.entry.v > 0.0:
             raise ConfigError("entry speed must be > 0")
+        if not self.entry.y > 0.0:
+            raise ConfigError(f"entry altitude must be > 0, got {self.entry.y}")
         for site in self.sites:
             if not isinstance(site, InterceptorSite):
                 raise ConfigError(f"sites must hold InterceptorSite entries, got {site!r}")
@@ -223,12 +228,14 @@ class BatchStatistics:
             raise ConfigError("p_intercept must lie in [0, 1]")
 
 
-def _density_multiplier(scenario: Scenario, stream: GaussianStream) -> float:
+def _run_atmosphere(scenario: Scenario, stream: GaussianStream) -> AtmosphereModel:
+    """The scenario atmosphere scaled by this run's density multiplier."""
+    mult = 1.0
     sigma = scenario.noise.atmosphere_density_sigma
-    if sigma == 0.0:
-        return 1.0
-    # floor keeps a pathological draw from flipping the sign of density
-    return max(stream.substream(0).gaussian(1.0, sigma), 0.05)
+    if sigma != 0.0:
+        # floor keeps a pathological draw from flipping the sign of density
+        mult = max(stream.substream(0).gaussian(1.0, sigma), 0.05)
+    return replace(scenario.atmosphere, rho0=scenario.atmosphere.rho0 * mult)
 
 
 class _VehicleControl:
@@ -304,35 +311,58 @@ class _VehicleControl:
         return u
 
 
-def _finish_landing(scenario, control, t_td, y_td, events) -> RunResult:
-    touchdown = (y_td[0], y_td[2])
-    err = math.hypot(y_td[0] - scenario.target[0], y_td[2])
-    nav = t_td - control.terminal_t if control.terminal_t is not None else 0.0
-    events.append((t_td, "touchdown"))
-    return RunResult(
-        touchdown=touchdown,
-        landing_error=err,
-        flight_time=t_td,
-        navigation_time=nav,
-        intercepted=False,
-        miss_distance=MISS_NONE,
-        events=tuple(events),
-    )
-
-
-def _failed_run(reason, t, control, events) -> RunResult:
-    events.append((t, f"failed:{reason}"))
+def _ended(control, t, label, touchdown=None, landing_error=math.nan, intercepted=False,
+           miss_distance=MISS_NONE, failed=None, samples=()) -> RunResult:
+    """End a run at time t: log ``label`` and build the run's result."""
+    control.events.append((t, label))
     nav = t - control.terminal_t if control.terminal_t is not None else 0.0
-    return RunResult(
-        touchdown=None,
-        landing_error=math.nan,
-        flight_time=t,
-        navigation_time=nav,
-        intercepted=False,
-        miss_distance=MISS_NONE,
-        events=tuple(events),
-        failed=reason,
-    )
+    return RunResult(touchdown, landing_error, t, nav, intercepted, miss_distance,
+                     tuple(control.events), failed, samples)
+
+
+def _fly(scenario, rhs, control, command=None, after_step=None, stride=None) -> RunResult:
+    """The step loop of every flight: from the scenario entry until
+    touchdown, an early end, an abort or timeout.
+
+    ``command(t, y)`` (default ``control``) is evaluated once per step and
+    held across it.  ``after_step(k, t, y, y_next)`` sees every step before
+    the touchdown check and ends the run by returning a result.  Touchdown
+    is interpolated linearly inside the final step; an
+    :class:`IntegrationAbort` or timeout becomes a failed result.  With
+    ``stride`` set, the result carries (t, state, u) rows every ``stride``
+    steps plus the touchdown row.
+    """
+    if command is None:
+        command = control
+    dt = scenario.integrator.dt
+    t0 = scenario.entry.t
+    n_max = max(1, math.ceil((scenario.integrator.t_max - t0) / dt - 1e-9))
+    y = scenario.entry.as_vector()
+    samples = []
+    try:
+        for k in range(n_max):
+            t = t0 + k * dt
+            u = command(t, y)
+            if stride is not None and k % stride == 0:
+                samples.append((t, y, u))
+            y_next = rk4_step(rhs, t, y, u, dt)
+            if after_step is not None:
+                ended = after_step(k, t, y, y_next)
+                if ended is not None:
+                    return ended
+            if y_next[1] <= 0.0 < y[1]:
+                frac = y[1] / (y[1] - y_next[1])
+                y_td = tuple(a + frac * (b - a) for a, b in zip(y, y_next))
+                t_td = t + frac * dt
+                if stride is not None:
+                    samples.append((t_td, y_td, u))
+                err = math.hypot(y_td[0] - scenario.target[0], y_td[2])
+                return _ended(control, t_td, "touchdown", (y_td[0], y_td[2]), err,
+                              samples=tuple(samples))
+            y = y_next
+    except IntegrationAbort as abort:
+        return _ended(control, abort.t, f"failed:{abort.reason}", failed=abort.reason)
+    return _ended(control, t0 + n_max * dt, "failed:timeout", failed="timeout")
 
 
 def simulate_vehicle_run(
@@ -349,41 +379,11 @@ def simulate_vehicle_run(
     """
     if stream is None:
         stream = GaussianStream(scenario.seed).substream(0)
-    mult = _density_multiplier(scenario, stream)
-    env = replace(scenario.atmosphere, rho0=scenario.atmosphere.rho0 * mult)
-    icfg = scenario.integrator
-    rhs = make_vehicle_rhs(scenario.vehicle, env, icfg.g)
-    control = _VehicleControl(scenario, stream)
-
-    dt = icfg.dt
-    n_max = max(1, math.ceil((icfg.t_max - scenario.entry.t) / dt - 1e-9))
-    t0 = scenario.entry.t
-    y = scenario.entry.as_vector()
+    env = _run_atmosphere(scenario, stream)
+    rhs = make_vehicle_rhs(scenario.vehicle, env, scenario.integrator.g)
+    dt = scenario.integrator.dt
     stride = None if sample_interval is None else max(1, round(sample_interval / dt))
-    samples = []
-    try:
-        for k in range(n_max):
-            t = t0 + k * dt
-            u = control(t, y)
-            if stride is not None and k % stride == 0:
-                samples.append((t, y, u))
-            y_next = rk4_step(rhs, t, y, u, dt)
-            if y_next[1] <= 0.0 < y[1]:
-                frac = y[1] / (y[1] - y_next[1])
-                y_td = tuple(a + frac * (b - a) for a, b in zip(y, y_next))
-                t_td = t + frac * dt
-                if stride is not None:
-                    samples.append((t_td, y_td, u))
-                result = _finish_landing(scenario, control, t_td, y_td, control.events)
-                return replace(result, samples=tuple(samples))
-            y = y_next
-    except IntegrationAbort as abort:
-        return _failed_run(abort.reason, abort.t, control, control.events)
-    return _failed_run("timeout", t0 + n_max * dt, control, control.events)
-
-
-def _noise_free(scenario: Scenario) -> Scenario:
-    return replace(scenario, noise=NoiseConfig(), sites=(), runs=1)
+    return _fly(scenario, rhs, _VehicleControl(scenario, stream), stride=stride)
 
 
 @lru_cache(maxsize=16)
@@ -391,41 +391,28 @@ def _reach_table(spec: InterceptorSpec, env: AtmosphereModel) -> ReachTable:
     return ReachTable.build(spec, env)
 
 
-def _predicted_track(scenario: Scenario) -> tuple:
-    """Noise-free (t, x, y) prediction used for launch planning.
+@lru_cache(maxsize=8)
+def _nominal_track(quiet: Scenario) -> tuple | RunResult:
+    """Noise-free (t, x, y) prediction used for launch planning, up to the
+    first point below ground (or the whole track on timeout).
 
     The track is the same for every run of a batch (the defender plans on
-    the nominal atmosphere), so it is cached on the quieted scenario.
+    the nominal atmosphere), so it is cached on the quieted scenario.  An
+    aborted descent returns its failed result in place of the track:
+    lru_cache keeps no exceptions, and every run of the batch would fly
+    the descent again.
     """
-    track = _nominal_track(replace(_noise_free(scenario), seed=0))
-    if isinstance(track, IntegrationAbort):
-        raise IntegrationAbort(track.reason, track.t, track.state)
-    return track
-
-
-@lru_cache(maxsize=8)
-def _nominal_track(quiet: Scenario) -> tuple | IntegrationAbort:
-    # An abort is returned rather than raised: lru_cache keeps no
-    # exceptions, and every run of the batch would fly the descent again.
-    icfg = quiet.integrator
-    rhs = make_vehicle_rhs(quiet.vehicle, quiet.atmosphere, icfg.g)
-    control = _VehicleControl(quiet, None)
-    dt = icfg.dt
-    n_max = max(1, math.ceil((icfg.t_max - quiet.entry.t) / dt - 1e-9))
     t0 = quiet.entry.t
-    y = quiet.entry.as_vector()
-    track = [(t0, y[0], y[1])]
-    try:
-        for k in range(n_max):
-            t = t0 + k * dt
-            u = control(t, y)
-            y_next = rk4_step(rhs, t, y, u, dt)
-            track.append((t0 + (k + 1) * dt, y_next[0], y_next[1]))
-            if y_next[1] <= 0.0:
-                break
-            y = y_next
-    except IntegrationAbort as abort:
-        return abort.with_traceback(None)
+    dt = quiet.integrator.dt
+    track = [(t0, quiet.entry.x, quiet.entry.y)]
+
+    def record(k, t, y, y_next):
+        track.append((t0 + (k + 1) * dt, y_next[0], y_next[1]))
+
+    rhs = make_vehicle_rhs(quiet.vehicle, quiet.atmosphere, quiet.integrator.g)
+    result = _fly(quiet, rhs, _VehicleControl(quiet, None), after_step=record)
+    if result.failed not in (None, "timeout"):
+        return result
     return tuple(track)
 
 
@@ -510,19 +497,16 @@ def simulate_engagement(scenario: Scenario, stream: GaussianStream | None = None
     if stream is None:
         stream = GaussianStream(scenario.seed).substream(0)
 
-    icfg = scenario.integrator
-    g = icfg.g
-    dt = icfg.dt
-    mult = _density_multiplier(scenario, stream)
-    env = replace(scenario.atmosphere, rho0=scenario.atmosphere.rho0 * mult)
+    g = scenario.integrator.g
+    dt = scenario.integrator.dt
+    env = _run_atmosphere(scenario, stream)
 
-    missiles = []
     control = _VehicleControl(scenario, stream)
     events = control.events
-    try:
-        track = _predicted_track(scenario)
-    except IntegrationAbort as abort:  # launch planning flies the nominal descent
-        return _failed_run(abort.reason, abort.t, control, events)
+    track = _nominal_track(replace(scenario, noise=NoiseConfig(), sites=(), runs=1, seed=0))
+    if isinstance(track, RunResult):  # launch planning flies the nominal descent
+        return _ended(control, track.flight_time, f"failed:{track.failed}", failed=track.failed)
+    missiles = []
     for site in scenario.sites:
         spec = site.resolve_spec()
         plan = launch_decision(
@@ -533,73 +517,52 @@ def simulate_engagement(scenario: Scenario, stream: GaussianStream | None = None
         )
         if plan is not None:
             missiles.append(_Missile(site, plan, env, g))
-    rhs_v = make_vehicle_rhs(scenario.vehicle, env, g)
     evasion = EvasionController(scenario.evasion, scenario.guidance.u_max, g)
 
-    t0 = scenario.entry.t
-    y = scenario.entry.as_vector()
-    n_max = max(1, math.ceil((icfg.t_max - t0) / dt - 1e-9))
-    try:
-        for k in range(n_max):
-            t = t0 + k * dt
-            for m in missiles:
-                if m.state is None and t >= m.launch_time:
-                    m.launch()
-                    events.append((t, f"launch:{m.kind}"))
-            boost = any(m.thrusting(t) for m in missiles)
-            u = control(t, y)
-            override = evasion.command(t, y[3], y[4], boost)
-            if override is not None:
-                u = override
-            y_next = rk4_step(rhs_v, t, y, u, dt)
+    def command(t, y):
+        for m in missiles:
+            if m.state is None and t >= m.launch_time:
+                m.launch()
+                events.append((t, f"launch:{m.kind}"))
+        boost = any(m.thrusting(t) for m in missiles)
+        u = control(t, y)
+        override = evasion.command(t, y[3], y[4], boost)
+        return u if override is None else override
 
-            hit = None
-            for m in missiles:
-                if m.state is None or m.done:
-                    continue
-                s = m.state
-                try:
-                    s_next = rk4_step(m.rhs, t - m.launch_time, s, m.pn_command(y), dt)
-                except IntegrationAbort as abort:
-                    m.done = True
-                    events.append((t, f"abort:{m.kind}:{abort.reason}"))
-                    continue
-                miss, t_off = _step_miss(
-                    y[0] - s[0], y[1] - s[1],
-                    y_next[0] - s_next[0], y_next[1] - s_next[1], dt,
-                )
-                if miss < m.min_miss:
-                    m.min_miss = miss
-                if miss < scenario.kill_radius and (hit is None or miss < hit[1]):
-                    hit = (m, miss, t + t_off)
-                if s_next[1] <= 0.0:
-                    m.done = True
-                else:
-                    m.state = s_next
+    def after_step(k, t, y, y_next):
+        hit = None
+        for m in missiles:
+            if m.state is None or m.done:
+                continue
+            s = m.state
+            try:
+                s_next = rk4_step(m.rhs, t - m.launch_time, s, m.pn_command(y), dt)
+            except IntegrationAbort as abort:
+                m.done = True
+                events.append((t, f"abort:{m.kind}:{abort.reason}"))
+                continue
+            miss, t_off = _step_miss(
+                y[0] - s[0], y[1] - s[1],
+                y_next[0] - s_next[0], y_next[1] - s_next[1], dt,
+            )
+            if miss < m.min_miss:
+                m.min_miss = miss
+            if miss < scenario.kill_radius and (hit is None or miss < hit[1]):
+                hit = (m, miss, t + t_off)
+            if s_next[1] <= 0.0:
+                m.done = True
+            else:
+                m.state = s_next
+        if hit is None:
+            return None
+        m, miss, t_kill = hit
+        return _ended(control, t_kill, f"intercept:{m.kind}", intercepted=True, miss_distance=miss)
 
-            if hit is not None:
-                m, miss, t_kill = hit
-                events.append((t_kill, f"intercept:{m.kind}"))
-                nav = t_kill - control.terminal_t if control.terminal_t is not None else 0.0
-                return RunResult(
-                    touchdown=None,
-                    landing_error=math.nan,
-                    flight_time=t_kill,
-                    navigation_time=nav,
-                    intercepted=True,
-                    miss_distance=miss,
-                    events=tuple(events),
-                )
-            if y_next[1] <= 0.0 < y[1]:
-                frac = y[1] / (y[1] - y_next[1])
-                y_td = tuple(a + frac * (b - a) for a, b in zip(y, y_next))
-                result = _finish_landing(scenario, control, t + frac * dt, y_td, events)
-                return replace(result, miss_distance=min(m.min_miss for m in missiles)
-                               if missiles else MISS_NONE)
-            y = y_next
-    except IntegrationAbort as abort:
-        return _failed_run(abort.reason, abort.t, control, events)
-    return _failed_run("timeout", t0 + n_max * dt, control, events)
+    rhs = make_vehicle_rhs(scenario.vehicle, env, g)
+    result = _fly(scenario, rhs, control, command, after_step)
+    if result.touchdown is not None and missiles:
+        result = replace(result, miss_distance=min(m.min_miss for m in missiles))
+    return result
 
 
 def _run_indexed(args) -> RunResult:

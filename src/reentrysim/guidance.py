@@ -71,15 +71,12 @@ class SeekerModel:
 
     The target is acquired when the vehicle is below ``activation_altitude``,
     inside ``activation_range`` slant range, and the line of sight sits
-    within ``field_of_regard`` of the velocity vector.  ``angle_noise_sigma``
-    is consumed by the Monte Carlo layer, which feeds the noisy boresight
-    angle into both the acquisition test and the terminal law.
+    within ``field_of_regard`` of the velocity vector.
     """
 
     activation_altitude: float = 35_000.0  # m
     activation_range: float = 100_000.0    # m, slant
     field_of_regard: float = 1.0           # rad, half-cone about the velocity
-    angle_noise_sigma: float = 0.0         # rad
 
     def __post_init__(self):
         if not self.activation_altitude > 0.0:
@@ -88,8 +85,6 @@ class SeekerModel:
             raise ConfigError("activation_range must be > 0")
         if not 0.0 < self.field_of_regard <= math.pi:
             raise ConfigError("field_of_regard must be in (0, pi]")
-        if not self.angle_noise_sigma >= 0.0:
-            raise ConfigError("angle_noise_sigma must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -248,6 +248,13 @@ class TestCommands:
         assert "entry_altitude" in err and "[vehicle]" in err
         assert not (tmp_path / "o" / "trajectory.csv").exists()
 
+    @pytest.mark.parametrize("raw", ["0", "-50"])
+    def test_entry_at_or_below_ground_is_a_config_error(self, tmp_path, capsys, raw):
+        ini = write(tmp_path / "s.ini", f"[vehicle]\nentry_altitude = {raw}\n")
+        assert main(["fly", "--scenario", ini, "--out", str(tmp_path / "o")]) == 1
+        assert "error: entry altitude must be > 0" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "trajectory.csv").exists()
+
     def test_batch_of_aborting_engagements_fails_cleanly(self, tmp_path, capsys):
         ini = write(
             tmp_path / "s.ini",

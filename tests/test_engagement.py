@@ -175,6 +175,60 @@ class TestVehicleRun:
         assert r.failed == "non-finite altitude"
         assert r.events[-1] == (0.0, "failed:non-finite altitude")
 
+    @pytest.mark.parametrize("altitude", [0.0, -50.0, math.nan])
+    def test_entry_at_or_below_ground_is_rejected(self, altitude):
+        sc = scenario_for_range(615_000)
+        with pytest.raises(ConfigError, match="entry altitude must be > 0"):
+            replace(sc, entry=replace(sc.entry, y=altitude))
+
+
+def _hexed(rows):
+    return [(t.hex(), tuple(v.hex() for v in y), u.hex()) for t, y, u in rows]
+
+
+class TestStepLoop:
+    """The one step loop, ``engagement._fly``, against the public driver
+    ``dynamics.integrate_until`` on the same RHS and a fresh control."""
+
+    @staticmethod
+    def _driver(sc):
+        rhs = dynamics.make_vehicle_rhs(sc.vehicle, sc.atmosphere, sc.integrator.g)
+        return dynamics.integrate_until(
+            rhs, engagement._VehicleControl(sc, None), sc.entry.t, sc.entry.as_vector(),
+            sc.integrator, sample_interval=sc.integrator.dt,
+        )
+
+    @pytest.mark.parametrize("rng", [615_000, 800_000, 950_000])
+    def test_vehicle_run_samples_every_step_as_the_driver(self, rng):
+        sc = scenario_for_range(rng)
+        traj = self._driver(sc)
+        r = simulate_vehicle_run(sc, sample_interval=sc.integrator.dt)
+        assert traj.event == "ground" and r.failed is None
+        assert len(r.samples) == traj.steps + 1
+        assert _hexed(r.samples) == _hexed(traj.samples)  # touchdown row included
+        assert r.flight_time.hex() == traj.event_t.hex()
+        assert r.touchdown == (traj.event_y[0], traj.event_y[2])
+
+    def test_timeout_ends_where_the_driver_does(self):
+        sc = scenario_for_range(615_000)
+        short = replace(sc, integrator=replace(sc.integrator, t_max=5.0))
+        traj = self._driver(short)
+        r = simulate_vehicle_run(short)
+        assert traj.event == "timeout"
+        assert r.failed == "timeout"
+        assert r.flight_time == traj.event_t
+        assert r.events[-1] == (traj.event_t, "failed:timeout")
+
+    def test_nominal_track_is_the_driver_track_plus_the_first_point_below_ground(self):
+        sc = terminal_engagement_scenario(700.0, "type-1")
+        quiet = replace(sc, noise=NoiseConfig(), sites=(), runs=1, seed=0)
+        track = engagement._nominal_track.__wrapped__(quiet)
+        traj = self._driver(quiet)
+        assert track[:-1] == tuple((t, y[0], y[1]) for t, y, _ in traj.samples[:-1])
+        t_last, _, y_last = track[-1]
+        assert y_last <= 0.0 < track[-2][2]
+        assert t_last == quiet.entry.t + traj.steps * quiet.integrator.dt
+
 
 class TestEngagement:
     def test_needs_a_site(self):

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from reentrysim import engagement
+from reentrysim.engagement import NoiseConfig
 from reentrysim.presets import scenario_for_range, terminal_engagement_scenario
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -65,3 +66,26 @@ def test_traced_runs_step_through_the_boundaries(tmp_path):
     assert tracer.counters["interceptor_steps"] > 0
     assert metrics["dynamics.rhs_per_step"] == 4.0
     assert metrics["guidance.control.calls"] == tracer.counters["vehicle_steps"]
+
+
+def test_cold_cache_engagement_traces_the_nominal_flight(tmp_path):
+    """Launch planning flies the noise-free track through the same step
+    loop as the run, so a cold cache adds exactly that flight's steps."""
+    engaged = terminal_engagement_scenario(700.0, "type-1")
+    quiet = replace(engaged, noise=NoiseConfig(), sites=(), runs=1, seed=0)
+    engagement._nominal_track.cache_clear()
+    tracer = spans.Tracer(str(tmp_path))
+    tracer.install()
+    try:
+        cold = engagement.simulate_engagement(engaged)
+        cold_steps = tracer.counters["vehicle_steps"]
+        warm = engagement.simulate_engagement(engaged)
+        run_steps = tracer.counters["vehicle_steps"] - cold_steps
+    finally:
+        tracer.uninstall()
+    assert tracer.missing == []
+    assert cold == warm
+    assert run_steps > 0
+    track = engagement._nominal_track(quiet)
+    assert cold_steps == run_steps + len(track) - 1
+    assert tracer.metrics()["guidance.control.calls"] == cold_steps + run_steps
