@@ -448,6 +448,8 @@ def _dispatch(args) -> int:
         sys.stdout.write(dump_scenario(scenario))
         return 0
 
+    if args.command == "batch" and args.workers is not None and args.workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     out_dir = _ensure_out(args.out)
     if args.command == "fly":
         outputs = cmd_fly(scenario, out_dir)

@@ -35,6 +35,11 @@ impact (touchdown state linearly interpolated inside the final step), on a
 caller-supplied stop event, or on timeout; timeout is a result, not an
 error.  A non-finite state or a speed below ``SPEED_GUARD`` aborts the run
 with :class:`~reentrysim.errors.IntegrationAbort`.
+
+The RHS of the step loops (vehicle, interceptor and the pinned-pitch
+profile) are generated, each with its fused RK4 step, from one stage
+template (:func:`_kernel_source`); ``vehicle_derivatives`` and
+``interceptor_derivatives`` are the readable references they are pinned to.
 """
 
 from __future__ import annotations
@@ -45,12 +50,12 @@ import math
 import re
 import textwrap
 from dataclasses import dataclass, field
-from math import cos, exp, isfinite, sin
+from math import cos, exp, isfinite, sin  # exp and isfinite: read by generated code
 from typing import Callable, NamedTuple, Sequence
 
 from .aero import DragModel, vehicle_drag_model
 from .atmosphere import DEFAULT_ATMOSPHERE, AtmosphereModel
-from .errors import ConfigError, IntegrationAbort
+from .errors import ConfigError, DomainError, IntegrationAbort
 
 G0 = 9.80665      # m/s^2
 SPEED_GUARD = 1.0  # m/s; below this 1/v terms are treated as singular
@@ -184,81 +189,25 @@ def vehicle_derivatives(
     )
 
 
-def _lookup_tables(env: AtmosphereModel, drag: DragModel) -> tuple:
-    """``rho0, k_decay, vs_rows, cx_rows, cx_floor, mach_cap``, as the
-    inlined atmosphere and drag lookups read them.
-
-    The speed-of-sound branches and drag segments lose their lower bounds.
-    Both tables tile [0, inf) in ascending order, so the first row whose
-    upper bound exceeds a value is the interval holding it: the row a
-    ``lo <= x < hi`` scan finds, at one comparison per row.
-    """
-    vs_rows = tuple(row[1:] for row in env.vs_branches)
-    cx_rows = tuple(row[1:] for row in drag.segments)
-    return env.rho0, env.k_decay, vs_rows, cx_rows, drag.cx_floor, drag.mach_cap
-
-
 def make_vehicle_rhs(
     spec: VehicleSpec,
     env: AtmosphereModel = DEFAULT_ATMOSPHERE,
     g: float = G0,
 ) -> Callable:
     """The vehicle RHS ``rhs(t, y, u)`` of the step loop: the planar case of
-    :func:`vehicle_derivatives` over a plain state tuple.
+    :func:`vehicle_derivatives` over a plain state tuple, with the
+    atmosphere and drag lookups inlined; tests pin it to that function.
 
-    Atmosphere and drag lookups are inlined over plain tuples; tests pin
-    this closure against the readable implementation.
-
-    The RHS carries ``rhs.rk4_step(t, y, u, dt)``, the generated
-    ``vehicle`` kernel (see :func:`_kernel_source`), compiled once per
-    process: one RK4 step over the live components (x, h, v, theta, n) with
-    the bits of :func:`_rk4_generic`, which replays the step on any error
-    and so raises the reference's :class:`IntegrationAbort`.
+    The RHS and its fused step ``rhs.rk4_step(t, y, u, dt)`` are generated
+    together from one stage template (the ``vehicle`` kernel, see
+    :func:`_kernel_source`), compiled once per process.  The step covers
+    the live components (x, h, v, theta, n) with the bits of
+    :func:`_rk4_generic`, which replays it on any error and so raises the
+    RHS's :class:`IntegrationAbort`.
     """
-    lookup = _lookup_tables(env, spec.drag)
-    rho0, k_decay, vs_rows, cx_rows, cx_floor, mach_cap = lookup
-    area_over_2m = spec.wing_area / (2.0 * spec.mass)
-    inv_lag = 1.0 / spec.lag_time
-
-    def rhs(t, y, u):
-        x, h, z, v, theta, w, n = y
-        if not v >= SPEED_GUARD:
-            raise IntegrationAbort("speed below guard (1/v singular)", t, y)
-        hc = h if h > 0.0 else 0.0
-        rho = rho0 * exp(-k_decay * hc)
-        h_km = hc * 0.001
-        for hi, base, slope, ref in vs_rows:
-            if h_km < hi:
-                vs = base + slope * (h_km - ref)
-                break
-        else:
-            raise IntegrationAbort("non-finite altitude", t, y)
-        m = v / vs
-        if m > mach_cap:
-            m = mach_cap
-        for m_high, c2, c1, c0 in cx_rows:
-            if m < m_high:
-                cx = (c2 * m + c1) * m + c0
-                if cx < cx_floor:
-                    cx = cx_floor
-                break
-        else:
-            raise IntegrationAbort("non-finite Mach", t, y)
-        st = sin(theta)
-        ct = cos(theta)
-        return (
-            v * ct,
-            v * st,
-            0.0,
-            -cx * rho * v * v * area_over_2m - g * st,
-            (g / v) * (n - ct),
-            0.0,
-            (u - n) * inv_lag,
-        )
-
-    fused = _fused_step_factory("vehicle")
-    rhs.rk4_step = fused(rhs, *lookup, area_over_2m=area_over_2m, g=g, inv_lag=inv_lag)
-    return rhs
+    return _generated_rhs("vehicle", env, spec.drag, g=g,
+                          area_over_2m=spec.wing_area / (2.0 * spec.mass),
+                          inv_lag=1.0 / spec.lag_time)
 
 
 def interceptor_derivatives(
@@ -299,79 +248,26 @@ def make_interceptor_rhs(spec, env: AtmosphereModel = DEFAULT_ATMOSPHERE, g: flo
     """The interceptor RHS of the step loop: the planar case of
     :func:`interceptor_derivatives` over a plain state tuple.
 
-    Like :func:`make_vehicle_rhs`, the RHS carries a generated fused step,
-    the ``interceptor`` kernel: the thrust stage is looked up at each stage
-    time, and any error replays the step through :func:`_rk4_generic`.
+    Like :func:`make_vehicle_rhs`, the RHS is generated with its fused
+    step, the ``interceptor`` kernel: the thrust stage is looked up at each
+    stage time, and any error replays the step through :func:`_rk4_generic`.
     """
-    lookup = _lookup_tables(env, spec.drag)
-    rho0, k_decay, vs_rows, cx_rows, cx_floor, mach_cap = lookup
-    half_area = spec.wing_area / 2.0
-    inv_lag = 1.0 / spec.lag_time
-    stages = spec.stages
-    burnout_mass = spec.burnout_mass
-
-    def rhs(t, y, u):
-        x, h, z, v, theta, w, n, mass = y
-        if not v >= SPEED_GUARD:
-            raise IntegrationAbort("speed below guard (1/v singular)", t, y)
-        thrust = 0.0
-        flow = 0.0
-        if mass > burnout_mass:
-            for t_start, t_end, stage_thrust, stage_flow in stages:
-                if t_start <= t < t_end:
-                    thrust = stage_thrust
-                    flow = stage_flow
-                    break
-        hc = h if h > 0.0 else 0.0
-        rho = rho0 * exp(-k_decay * hc)
-        h_km = hc * 0.001
-        for hi, base, slope, ref in vs_rows:
-            if h_km < hi:
-                vs = base + slope * (h_km - ref)
-                break
-        else:
-            raise IntegrationAbort("non-finite altitude", t, y)
-        m = v / vs
-        if m > mach_cap:
-            m = mach_cap
-        for m_high, c2, c1, c0 in cx_rows:
-            if m < m_high:
-                cx = (c2 * m + c1) * m + c0
-                if cx < cx_floor:
-                    cx = cx_floor
-                break
-        else:
-            raise IntegrationAbort("non-finite Mach", t, y)
-        st = sin(theta)
-        ct = cos(theta)
-        return (
-            v * ct,
-            v * st,
-            0.0,
-            (thrust - cx * rho * v * v * half_area) / mass - g * st,
-            (g / v) * (n - ct),
-            0.0,
-            (u - n) * inv_lag,
-            -flow,
-        )
-
-    fused = _fused_step_factory("interceptor")
-    rhs.rk4_step = fused(rhs, *lookup, half_area=half_area, g=g, inv_lag=inv_lag,
-                         stages=stages, burnout_mass=burnout_mass)
-    return rhs
+    return _generated_rhs("interceptor", env, spec.drag, g=g, half_area=spec.wing_area / 2.0,
+                          inv_lag=1.0 / spec.lag_time, stages=spec.stages,
+                          burnout_mass=spec.burnout_mass)
 
 
 def rk4_step(rhs: Callable, t: float, y: tuple, u: float, dt: float) -> tuple:
     """One classical RK4 step with the command u held constant.
 
-    An RHS that carries a fused step (``rhs.rk4_step``, from
-    :func:`make_vehicle_rhs`, :func:`make_interceptor_rhs` or
-    :func:`~reentrysim.interceptor.pinned_pitch_profile`) takes it: a
-    kernel generated from one stage template and compiled once per
-    process, with the RHS inlined and the bits of :func:`_rk4_generic`,
-    which it replays on any error so that the abort is the reference's.
-    Any other RHS, a timer wrapped around a fused one included, takes
-    :func:`_rk4_generic`.
+    An RHS that carries a fused step (``rhs.rk4_step``: the RHS of
+    :func:`make_vehicle_rhs`, :func:`make_interceptor_rhs` and
+    :func:`~reentrysim.interceptor.pinned_pitch_profile`) takes it.  The
+    RHS and its step are generated together from one stage template and
+    compiled once per process; the step inlines the RHS with the bits of
+    :func:`_rk4_generic`, which it replays on any error so that the abort
+    is the RHS's.  Any other RHS, a timer wrapped around a fused one
+    included, takes :func:`_rk4_generic`.
     """
     fused = getattr(rhs, "rk4_step", None)
     if fused is not None:
@@ -407,14 +303,15 @@ def _abort_non_finite(t, k1, k2, k3, k4, out):
 
 
 # --------------------------------------------------------------------------
-# Fused RK4 steps, generated from one stage template (see _kernel_source)
+# Each RHS and its fused RK4 step, generated from one stage template (see
+# _kernel_source).  The template's ``raise`` lines are the RHS's errors.
 
 _SPEED_GUARD = """\
 if not v >= SPEED_GUARD:
-    return _rk4_generic(rhs, t, y, u, dt)
+    raise IntegrationAbort("speed below guard (1/v singular)", t, y)
 """
 
-# Falling through is the coast: zero thrust, as in the RHS, so no replay.
+# Falling through is the coast: zero thrust, not an error.
 _THRUST = """\
 thrust = flow = 0.0
 if mass > burnout_mass:
@@ -433,7 +330,7 @@ for hi, base, slope, ref in vs_rows:
         vs = base + slope * (h_km - ref)
         break
 else:
-    return _rk4_generic(rhs, t, y, u, dt)
+    raise IntegrationAbort("non-finite altitude", t, y)
 m = {speed} / vs
 if m > mach_cap:
     m = mach_cap
@@ -444,7 +341,7 @@ for m_high, q2, q1, q0 in cx_rows:
             cx = cx_floor
         break
 else:
-    return _rk4_generic(rhs, t, y, u, dt)
+    raise IntegrationAbort("non-finite Mach", t, y)
 """
 
 _PLANAR = "st = sin(theta)\nct = cos(theta)\n{k}0 = v * ct\n{k}1 = v * st\n"
@@ -467,38 +364,51 @@ _KERNELS = {
         rates=_PLANAR + "{k}3 = (thrust - cx * rho * v * v * half_area) / mass - g * st\n"
         "{k}4 = (g / v) * (n - ct)\n{k}6 = (u - n) * inv_lag\n{k}7 = -flow\n",
     ),
-    # hc / 1000.0 and the drag's operand order are the readable model's
+    # hc / 1000.0 and the drag's operand order are the readable model's, so
+    # reach tables and calibrations keep its bits; stage predictions may dip
+    # below zero speed, hence va
     "profile": dict(
         state="v h mass path", inputs="v h mass",
         free="wing_area, g, sin_t, stages, burnout_mass", guard=_THRUST + """\
 va = v if v > 0.0 else 0.0
 if not isfinite(h):
-    return _rk4_generic(rhs, t, y, u, dt)
+    raise DomainError(f"altitude must be finite, got {{h}}")
 if not isfinite(va):
-    return _rk4_generic(rhs, t, y, u, dt)
+    raise DomainError(f"speed must be finite and >= 0, got {{va}}")
 """, h_km="hc / 1000.0", speed="va",
         rates="{k}0 = (thrust - cx * rho * va * va * wing_area / 2.0) / mass - g * sin_t\n"
         "{k}1 = v * sin_t\n{k}2 = -flow\n{k}3 = v\n",
     ),
 }
 
+_REPLAY = "return _rk4_generic(rhs, t, y, u, dt)"
+
 
 def _kernel_source(name: str) -> str:
-    """Source of ``make(rhs, <lookup>, *, <free>)``, which returns the fused
-    RK4 step of kernel ``name``: its RHS inlined at each of the four stages.
+    """Source of ``make(<lookup>, *, <free>)``, which returns the RHS
+    ``rhs(t, y, u)`` of kernel ``name`` carrying its fused RK4 step as
+    ``rhs.rk4_step(t, y, u, dt)``.
 
-    Each stage is the kernel's stage inputs, its guard, the shared
-    atmosphere and drag lookup, and its derivative lines.  Stage inputs,
-    outputs and the non-finite sum keep the reference step's operand
-    order, so the kernel has its bits; a component whose derivative is
-    always 0 passes through as ``y + sixth * 0.0``.  Every error replays
-    the step through :func:`_rk4_generic`, which raises its abort.
-    ``tests/kernels/`` holds the generated sources.
+    A stage is the kernel's guard, the shared atmosphere and drag lookup,
+    and its derivative lines.  The RHS is stage 1 over the unpacked state,
+    with its ``raise`` lines; a component whose derivative is always 0
+    returns ``0.0``.  The step inlines the stage four times, each ``raise``
+    rewritten to replay the step through :func:`_rk4_generic`, which raises
+    the RHS's error.  Stage inputs, outputs and the non-finite sum keep the
+    reference step's operand order, so the step has its bits; a zero
+    derivative passes through as ``y + sixth * 0.0``.  ``tests/kernels/``
+    holds the generated sources.
     """
     kernel = _KERNELS[name]
     state, inputs = kernel["state"].split(), kernel["inputs"].split()
     at = {c: state.index(c) for c in inputs}
     live = {int(i) for i in re.findall(r"^\{k\}(\d+) =", kernel["rates"], re.M)}
+
+    def stage(k, ts):
+        return (kernel["guard"] + _LOOKUP + kernel["rates"]).format(k=k, ts=ts, **kernel)
+
+    rates = ", ".join(f"a{i}" if i in live else "0.0" for i in range(len(state)))
+    rhs = [f"{', '.join(state)} = y", stage("a", "t"), f"return ({rates})"]
     ys, outs = ([f"{p}{i}" for i in range(len(state))] for p in "yo")
     body = [f"{', '.join(ys)} = y", "h2 = 0.5 * dt", "# stage 1 at (t, y)",
             f"{', '.join(inputs)} = {', '.join(ys[at[c]] for c in inputs)}"]
@@ -507,31 +417,49 @@ def _kernel_source(name: str) -> str:
             scale = "dt" if s == 3 else "h2"
             body.append(f"# stage {s + 1} at ({ts}, y + {scale} * k{s})")
             body += [f"{c} = y{at[c]} + {scale} * {'abc'[s - 1]}{at[c]}" for c in inputs]
-        body.append((kernel["guard"] + _LOOKUP + kernel["rates"]).format(k=k, ts=ts, **kernel))
+        body.append(re.sub(r"raise .*", _REPLAY, stage(k, ts)))
     body.append("sixth = dt / 6.0")
     for i in range(len(state)):
         rate = f"(a{i} + 2.0 * (b{i} + c{i}) + d{i})" if i in live else "0.0"
         body.append(f"o{i} = y{i} + sixth * {rate}")
-    body += [f"if not isfinite({' + '.join(outs)}):",
-             "    return _rk4_generic(rhs, t, y, u, dt)", f"return ({', '.join(outs)})"]
+    body += [f"if not isfinite({' + '.join(outs)}):", "    " + _REPLAY,
+             f"return ({', '.join(outs)})"]
+
+    def indent(lines):
+        return textwrap.indent("\n".join(line.rstrip("\n") for line in lines), " " * 8)
+
     return (
-        f"def make(rhs, rho0, k_decay, vs_rows, cx_rows, cx_floor, mach_cap, *, {kernel['free']}):\n"
-        f"    def {name}_rk4_step(t, y, u, dt):\n"
-        + textwrap.indent("\n".join(line.rstrip("\n") for line in body), " " * 8)
-        + f"\n\n    return {name}_rk4_step\n"
+        f"def make(rho0, k_decay, vs_rows, cx_rows, cx_floor, mach_cap, *, {kernel['free']}):\n"
+        f"    def rhs(t, y, u):\n{indent(rhs)}\n\n"
+        f"    def {name}_rk4_step(t, y, u, dt):\n{indent(body)}\n\n"
+        f"    rhs.rk4_step = {name}_rk4_step\n    return rhs\n"
     )
 
 
 @functools.cache
-def _fused_step_factory(name: str) -> Callable:
-    """The compiled factory of kernel ``name``: compiled on first use, once
+def _kernel_factory(name: str) -> Callable:
+    """The compiled ``make`` of kernel ``name``: compiled on first use, once
     per process, and registered in ``linecache`` so tracebacks show it."""
     source = _kernel_source(name)
-    filename = f"<reentrysim.dynamics fused {name} RK4 step>"
+    filename = f"<reentrysim.dynamics generated {name} kernel>"
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
     namespace = {}
     exec(compile(source, filename, "exec"), globals(), namespace)
     return namespace["make"]
+
+
+def _generated_rhs(name: str, env: AtmosphereModel, drag: DragModel, **free) -> Callable:
+    """The RHS of kernel ``name`` over ``env`` and ``drag``, with its fused step.
+
+    The speed-of-sound branches and drag segments lose their lower bounds.
+    Both tables tile [0, inf) in ascending order, so the first row whose
+    upper bound exceeds a value is the interval holding it: the row a
+    ``lo <= x < hi`` scan finds, at one comparison per row.
+    """
+    vs_rows = tuple(row[1:] for row in env.vs_branches)
+    cx_rows = tuple(row[1:] for row in drag.segments)
+    return _kernel_factory(name)(env.rho0, env.k_decay, vs_rows, cx_rows, drag.cx_floor,
+                                 drag.mach_cap, **free)
 
 
 class TrajectoryPoint(NamedTuple):

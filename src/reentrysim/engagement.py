@@ -581,7 +581,7 @@ def batch_run_results(scenario: Scenario, workers: int | None = None) -> tuple:
     """
     jobs = [(scenario, i) for i in range(scenario.runs)]
     if workers is not None and workers > 1 and len(jobs) > 1:
-        with Pool(processes=workers) as pool:
+        with Pool(processes=min(workers, len(jobs))) as pool:
             results = pool.map(_run_indexed, jobs, chunksize=max(1, len(jobs) // (4 * workers)))
     else:
         results = [_run_indexed(job) for job in jobs]

@@ -24,12 +24,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from math import exp, isfinite
 from typing import NamedTuple, Sequence
 
 from .aero import DragModel, interceptor_drag_model
 from .atmosphere import DEFAULT_ATMOSPHERE, AtmosphereModel
-from .dynamics import G0, _fused_step_factory, _lookup_tables, rk4_step
+from .dynamics import G0, _generated_rhs, rk4_step
 from .errors import ConfigError, DomainError
 
 # Fitted against the reference firing tables; see calibrate_type1/2.
@@ -174,59 +173,15 @@ def pinned_pitch_profile(
     nearly constant) and doubles as the reachability integrator: ``path``
     accumulates distance flown, whatever the pitch.
 
-    Steps take the generated ``profile`` kernel (``rhs.rk4_step``, compiled
-    once per process), with the bits of ``_rk4_generic``, which replays the
-    step on any error and so raises the RHS's :class:`DomainError`.
+    The RHS and its fused step are the generated ``profile`` kernel,
+    compiled once per process from the stage template of
+    ``dynamics._kernel_source``, with the readable model's arithmetic.  The
+    step has the bits of ``_rk4_generic``, which replays it on any error and
+    so raises the RHS's :class:`DomainError`.
     """
-    sin_t = math.sin(theta)
-    lookup = _lookup_tables(env, spec.drag)
-    rho0, k_decay, vs_rows, cx_rows, cx_floor, mach_cap = lookup
-    wing_area = spec.wing_area
-    stages = spec.stages
-    burnout_mass = spec.burnout_mass
-
-    # AtmosphereModel.density/mach and DragModel.cx inlined, as in
-    # make_interceptor_rhs, but with the readable model's arithmetic so reach
-    # tables and calibrations keep its bits: ``hc / 1000.0`` (that RHS's
-    # ``* 0.001`` differs in the last bit for about one altitude in eight),
-    # and the drag as ``cx * rho * va * va * wing_area / 2.0`` in that order.
-    def rhs(t, y, _u):
-        v, h, mass, _path = y
-        thrust = 0.0
-        flow = 0.0
-        if mass > burnout_mass:
-            for t_start, t_end, stage_thrust, stage_flow in stages:
-                if t_start <= t < t_end:
-                    thrust = stage_thrust
-                    flow = stage_flow
-                    break
-        va = v if v > 0.0 else 0.0  # stage predictions may dip below zero
-        if not isfinite(h):
-            raise DomainError(f"altitude must be finite, got {h}")
-        if not isfinite(va):
-            raise DomainError(f"speed must be finite and >= 0, got {va}")
-        hc = h if h > 0.0 else 0.0
-        rho = rho0 * exp(-k_decay * hc)
-        h_km = hc / 1000.0
-        for hi, base, slope, ref in vs_rows:
-            if h_km < hi:
-                vs = base + slope * (h_km - ref)
-                break
-        m = va / vs
-        if m > mach_cap:
-            m = mach_cap
-        for m_high, c2, c1, c0 in cx_rows:
-            if m < m_high:
-                cx = (c2 * m + c1) * m + c0
-                if cx < cx_floor:
-                    cx = cx_floor
-                break
-        drag = cx * rho * va * va * wing_area / 2.0
-        return ((thrust - drag) / mass - g * sin_t, v * sin_t, -flow, v)
-
-    fused = _fused_step_factory("profile")
-    rhs.rk4_step = fused(rhs, *lookup, wing_area=wing_area, g=g, sin_t=sin_t, stages=stages,
-                         burnout_mass=burnout_mass)
+    rhs = _generated_rhs("profile", env, spec.drag, wing_area=spec.wing_area, g=g,
+                         sin_t=math.sin(theta), stages=spec.stages,
+                         burnout_mass=spec.burnout_mass)
     y = (spec.launch_speed, y0, spec.initial_mass, 0.0)
     points = [ProfilePoint(0.0, y[0], y[1], y[2], y[3])]
     v_peak, t_peak = y[0], 0.0

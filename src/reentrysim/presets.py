@@ -12,6 +12,7 @@ bias.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from .dynamics import VehicleState
@@ -131,7 +132,7 @@ NAMED_PRESETS = {"x615": 615_000, "x800": 800_000, "x950": 950_000}
 
 
 def range_preset(range_m: float) -> RangePreset:
-    key = int(round(range_m))
+    key = int(round(range_m)) if math.isfinite(range_m) else None
     if key not in _PRESETS:
         supported = ", ".join(str(r) for r in PRESET_RANGES)
         raise ConfigError(f"no preset for range {range_m}; supported: {supported}")

@@ -1,9 +1,11 @@
 import hashlib
 import json
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from reentrysim import engagement
 from reentrysim.cli import _KEYS, _cast, _get_path, dump_scenario, main, parse_scenario
 from reentrysim.engagement import _nominal_track
 from reentrysim.errors import ConfigError
@@ -209,6 +211,15 @@ class TestCommands:
             ref = (d1 / name).read_bytes()
             assert (d2 / name).read_bytes() == ref
             assert (d3 / name).read_bytes() == ref
+
+    @pytest.mark.parametrize("workers", ["0", "-4"])
+    def test_batch_rejects_fewer_than_one_worker(self, tmp_path, capsys, workers):
+        with mock.patch.object(engagement, "Pool") as pool:
+            assert main(["batch", "--scenario", "x615", "--n", "2", "--workers", workers,
+                         "--out", str(tmp_path / "o")]) == 1
+        assert f"error: --workers must be >= 1, got {workers}" in capsys.readouterr().err
+        assert not pool.called
+        assert not (tmp_path / "o").exists()
 
     def test_batch_run_rows_carry_the_substream_label(self, tmp_path):
         out = tmp_path / "b"

@@ -93,21 +93,29 @@ def test_fast_rhs_matches_readable_vehicle_model():
 
 
 def test_fast_rhs_matches_readable_interceptor_model():
-    spec = type1_spec()
-    rhs = make_interceptor_rhs(spec)
-    for t, v, theta, y in (
-        (0.5, 30.0, 1.2, 10.0),
-        (5.0, 600.0, 1.0, 4_000.0),
-        (20.0, 1500.0, 0.6, 14_000.0),
-        (10.0, 900.0, 0.8, 11_000.0),
-        (10.0, 900.0, 0.8, 25_000.0),
-        (10.0, 0.8 * 295.1, 0.8, 20_000.0),
-        (10.0, 1.2 * 295.1, 0.8, 20_000.0),
-    ):
-        s = InterceptorState(t=t, x=0.0, y=y, z=0.0, v=v, theta=theta, w=0.0, n=0.0, mass=spec.mass_at(t))
-        readable = interceptor_derivatives(s, 2.0, spec)
-        fast = rhs(t, s.as_vector(), 2.0)
-        assert fast == pytest.approx(tuple(readable), rel=1e-12)
+    for spec in (type1_spec(), type2_spec()):
+        rhs = make_interceptor_rhs(spec)
+        # either side of each thrust-stage seam: type 2's 4 s and 6 s, and burnout
+        seams = [t for edge in (4.0, 6.0, spec.burn_time)
+                 for t in (edge - 0.01, math.nextafter(edge, -math.inf), edge, edge + 0.01)]
+        for t, v, theta, y, mass in (
+            (0.5, 30.0, 1.2, 10.0, None),
+            (5.0, 600.0, 1.0, 4_000.0, None),
+            (20.0, 1500.0, 0.6, 14_000.0, None),
+            (10.0, 900.0, 0.8, 11_000.0, None),
+            (10.0, 900.0, 0.8, 25_000.0, None),
+            (10.0, 0.8 * 295.1, 0.8, 20_000.0, None),
+            (10.0, 1.2 * 295.1, 0.8, 20_000.0, None),
+            *[(t, 600.0, 1.0, 4_000.0, None) for t in seams],
+            # burnt out while a stage still burns: no thrust and no flow
+            (5.0, 600.0, 1.0, 4_000.0, spec.burnout_mass),
+            (10.0, 900.0, 0.8, 11_000.0, spec.burnout_mass),
+        ):
+            mass = spec.mass_at(t) if mass is None else mass
+            s = InterceptorState(t=t, x=0.0, y=y, z=0.0, v=v, theta=theta, w=0.0, n=0.0, mass=mass)
+            readable = interceptor_derivatives(s, 2.0, spec)
+            fast = rhs(t, s.as_vector(), 2.0)
+            assert fast == pytest.approx(tuple(readable), rel=1e-12)
 
 
 def test_rk4_exact_for_cubics():
@@ -398,7 +406,7 @@ REWRITE = (
 )
 
 
-@pytest.mark.parametrize("name", ["vehicle", "interceptor", "profile"])
+@pytest.mark.parametrize("name", dynamics._KERNELS)
 def test_generated_kernel_source_matches_its_snapshot(name):
     snapshot = (KERNELS / f"{name}.txt").read_text(encoding="utf-8")
     assert _kernel_source(name) == snapshot, (
@@ -418,8 +426,14 @@ def test_kernels_compile_once_per_process_and_show_in_tracebacks():
     with pytest.raises(DomainError) as err:
         rhs.rk4_step(0.0, (100.0, math.nan, 900.0, 0.0), 0.0, 0.02)
     text = "".join(traceback.format_tb(err.value.__traceback__))
-    assert "<reentrysim.dynamics fused profile RK4 step>" in text
+    assert "<reentrysim.dynamics generated profile kernel>" in text
     assert "return _rk4_generic(rhs, t, y, u, dt)" in text
+    # a plain RHS call raises from its own generated line
+    with pytest.raises(IntegrationAbort) as err:
+        make_vehicle_rhs(VehicleSpec())(0.0, (0.0, math.inf, 0.0, 900.0, -0.2, 0.0, 0.0), 0.0)
+    text = "".join(traceback.format_tb(err.value.__traceback__))
+    assert "<reentrysim.dynamics generated vehicle kernel>" in text
+    assert 'raise IntegrationAbort("non-finite altitude", t, y)' in text
 
 
 def test_unrolled_step_tracks_the_generic_step_along_an_entry():

@@ -28,6 +28,7 @@ from reentrysim.errors import BatchError, ConfigError, DomainError
 from reentrysim.presets import (
     CALIBRATED_NOISE,
     PRESET_RANGES,
+    range_preset,
     scenario_for_range,
     terminal_engagement_scenario,
 )
@@ -397,6 +398,19 @@ class TestBatch:
         assert pickle.dumps(serial) == pickle.dumps(parallel)
         assert pickle.dumps(monte_carlo_batch(sc)) == pickle.dumps(monte_carlo_batch(sc, workers=2))
 
+    @pytest.mark.parametrize("runs, workers", [(2, 64), (3, 2)])
+    def test_pool_never_outnumbers_the_runs(self, runs, workers):
+        sc = replace(scenario_for_range(615_000), runs=runs, seed=3)
+        pool = mock.MagicMock()
+        pool_map = pool.return_value.__enter__.return_value.map
+        pool_map.side_effect = lambda fn, jobs, chunksize: [fn(job) for job in jobs]
+        with mock.patch.object(engagement, "Pool", pool):
+            pooled = batch_run_results(sc, workers=workers)
+        pool.assert_called_once_with(processes=min(runs, workers))
+        # the chunk size is the one the uncapped worker count gave
+        assert pool_map.call_args.kwargs == {"chunksize": max(1, runs // (4 * workers))}
+        assert pickle.dumps(pooled) == pickle.dumps(batch_run_results(sc))
+
     def test_summary_against_a_hand_count(self):
         def run(err, intercepted=False, failed=None, nav=20.0, launched=False):
             events = (((5.0, "launch:type-1"),) if launched else ())
@@ -476,6 +490,13 @@ class TestSweeps:
     def test_empty_ranges_rejected(self):
         with pytest.raises(ConfigError):
             error_vs_navigation_sweep(scenario_for_range(615_000), [])
+
+    @pytest.mark.parametrize("range_m", [700_000.0, math.nan, math.inf, -math.inf])
+    def test_range_without_a_preset_is_a_config_error(self, range_m):
+        with pytest.raises(ConfigError, match="no preset for range"):
+            range_preset(range_m)
+        with pytest.raises(ConfigError, match="no preset for range"):
+            error_vs_navigation_sweep(scenario_for_range(615_000), [range_m])
 
     def test_speed_sweep_envelope(self):
         base = replace(scenario_for_range(615_000), runs=2)
