@@ -38,19 +38,20 @@ with :class:`~reentrysim.errors.IntegrationAbort`.
 
 The RHS of the step loops (vehicle, interceptor and the pinned-pitch
 profile) are generated, each with its fused RK4 step, from one stage
-template (:func:`_kernel_source`); ``vehicle_derivatives`` and
-``interceptor_derivatives`` are the readable references they are pinned to.
+template (:func:`_kernel_source`) specialised to the speed-of-sound and
+drag tables, compiled once per process and table set; ``vehicle_derivatives``
+and ``interceptor_derivatives`` are the readable references they are pinned to.
 """
 
 from __future__ import annotations
 
-import functools
 import linecache
 import math
 import re
 import textwrap
+import zlib
 from dataclasses import dataclass, field
-from math import cos, exp, isfinite, sin  # exp and isfinite: read by generated code
+from math import cos, exp, inf, isfinite, nan, sin  # exp, isfinite, nan: read by generated code
 from typing import Callable, NamedTuple, Sequence
 
 from .aero import DragModel, vehicle_drag_model
@@ -134,12 +135,12 @@ class IntegratorConfig:
     def __post_init__(self):
         if not 0.0 < self.dt <= 1.0:
             raise ConfigError(f"dt must be in (0, 1] s, got {self.dt}")
-        if not self.t_max > 0.0:
-            raise ConfigError(f"t_max must be > 0, got {self.t_max}")
-        if not self.g > 0.0:
-            raise ConfigError(f"g must be > 0, got {self.g}")
-        if not self.sample_interval >= self.dt:
-            raise ConfigError("sample_interval must be >= dt")
+        if not 0.0 < self.t_max < inf:
+            raise ConfigError(f"t_max must be finite and > 0, got {self.t_max}")
+        if not 0.0 < self.g < inf:
+            raise ConfigError(f"g must be finite and > 0, got {self.g}")
+        if not self.dt <= self.sample_interval < inf:
+            raise ConfigError(f"sample_interval must be in [dt, inf), got {self.sample_interval}")
 
 
 class VehicleRates(NamedTuple):
@@ -200,7 +201,7 @@ def make_vehicle_rhs(
 
     The RHS and its fused step ``rhs.rk4_step(t, y, u, dt)`` are generated
     together from one stage template (the ``vehicle`` kernel, see
-    :func:`_kernel_source`), compiled once per process.  The step covers
+    :func:`_kernel_source`), compiled once per table set.  The step covers
     the live components (x, h, v, theta, n) with the bits of
     :func:`_rk4_generic`, which replays it on any error and so raises the
     RHS's :class:`IntegrationAbort`.
@@ -264,7 +265,7 @@ def rk4_step(rhs: Callable, t: float, y: tuple, u: float, dt: float) -> tuple:
     :func:`make_vehicle_rhs`, :func:`make_interceptor_rhs` and
     :func:`~reentrysim.interceptor.pinned_pitch_profile`) takes it.  The
     RHS and its step are generated together from one stage template and
-    compiled once per process; the step inlines the RHS with the bits of
+    compiled once per table set; the step inlines the RHS with the bits of
     :func:`_rk4_generic`, which it replays on any error so that the abort
     is the RHS's.  Any other RHS, a timer wrapped around a fused one
     included, takes :func:`_rk4_generic`.
@@ -325,24 +326,25 @@ _LOOKUP = """\
 hc = h if h > 0.0 else 0.0
 rho = rho0 * exp(-k_decay * hc)
 h_km = {h_km}
-for hi, base, slope, ref in vs_rows:
-    if h_km < hi:
-        vs = base + slope * (h_km - ref)
-        break
-else:
+{vs_chain}else:
     raise IntegrationAbort("non-finite altitude", t, y)
 m = {speed} / vs
 if m > mach_cap:
     m = mach_cap
-for m_high, q2, q1, q0 in cx_rows:
-    if m < m_high:
-        cx = (q2 * m + q1) * m + q0
-        if cx < cx_floor:
-            cx = cx_floor
-        break
-else:
+{cx_chain}else:
     raise IntegrationAbort("non-finite Mach", t, y)
+if cx < cx_floor:
+    cx = cx_floor
 """
+
+
+def _chain(x: str, table: tuple, assign: str) -> str:
+    """``if``/``elif`` lines over ascending rows ``(lo, hi, *coeffs)`` that tile
+    [0, inf): the first row whose ``hi`` exceeds x holds it, so ``lo`` goes.
+    ``assign`` gets the row's numbers as ``repr`` literals: the same floats."""
+    return "".join(f"{'el' if i else ''}if {x} < {hi!r}:\n    {assign.format(*map(repr, coeffs))}\n"
+                   for i, (_lo, hi, *coeffs) in enumerate(table))
+
 
 _PLANAR = "st = sin(theta)\nct = cos(theta)\n{k}0 = v * ct\n{k}1 = v * st\n"
 
@@ -384,28 +386,31 @@ if not isfinite(va):
 _REPLAY = "return _rk4_generic(rhs, t, y, u, dt)"
 
 
-def _kernel_source(name: str) -> str:
-    """Source of ``make(<lookup>, *, <free>)``, which returns the RHS
-    ``rhs(t, y, u)`` of kernel ``name`` carrying its fused RK4 step as
-    ``rhs.rk4_step(t, y, u, dt)``.
+def _kernel_source(name: str, vs_branches: tuple, segments: tuple) -> str:
+    """Source of ``make(rho0, k_decay, cx_floor, mach_cap, *, <free>)``,
+    which returns the RHS ``rhs(t, y, u)`` of kernel ``name`` carrying its
+    fused RK4 step as ``rhs.rk4_step(t, y, u, dt)``.
 
-    A stage is the kernel's guard, the shared atmosphere and drag lookup,
-    and its derivative lines.  The RHS is stage 1 over the unpacked state,
-    with its ``raise`` lines; a component whose derivative is always 0
-    returns ``0.0``.  The step inlines the stage four times, each ``raise``
-    rewritten to replay the step through :func:`_rk4_generic`, which raises
-    the RHS's error.  Stage inputs, outputs and the non-finite sum keep the
-    reference step's operand order, so the step has its bits; a zero
-    derivative passes through as ``y + sixth * 0.0``.  ``tests/kernels/``
-    holds the generated sources.
+    A stage is the kernel's guard, the shared atmosphere and drag lookup
+    (both tables as :func:`_chain` lines, in the readable model's operand
+    order), and its derivative lines.  The RHS is stage 1 over the unpacked
+    state, with its ``raise`` lines; a component whose derivative is always
+    0 returns ``0.0``.  The step inlines the stage four times, each
+    ``raise`` rewritten to replay the step through :func:`_rk4_generic`,
+    which raises the RHS's error.  Stage inputs, outputs and the non-finite
+    sum keep the reference step's operand order, so the step has its bits;
+    a zero derivative passes through as ``y + sixth * 0.0``.
+    ``tests/kernels/`` holds the sources over the stock tables.
     """
     kernel = _KERNELS[name]
     state, inputs = kernel["state"].split(), kernel["inputs"].split()
     at = {c: state.index(c) for c in inputs}
     live = {int(i) for i in re.findall(r"^\{k\}(\d+) =", kernel["rates"], re.M)}
+    chains = dict(vs_chain=_chain("h_km", vs_branches, "vs = {} + {} * (h_km - {})"),
+                  cx_chain=_chain("m", segments, "cx = ({} * m + {}) * m + {}"))
 
     def stage(k, ts):
-        return (kernel["guard"] + _LOOKUP + kernel["rates"]).format(k=k, ts=ts, **kernel)
+        return (kernel["guard"] + _LOOKUP + kernel["rates"]).format(k=k, ts=ts, **chains, **kernel)
 
     rates = ", ".join(f"a{i}" if i in live else "0.0" for i in range(len(state)))
     rhs = [f"{', '.join(state)} = y", stage("a", "t"), f"return ({rates})"]
@@ -429,37 +434,41 @@ def _kernel_source(name: str) -> str:
         return textwrap.indent("\n".join(line.rstrip("\n") for line in lines), " " * 8)
 
     return (
-        f"def make(rho0, k_decay, vs_rows, cx_rows, cx_floor, mach_cap, *, {kernel['free']}):\n"
+        f"def make(rho0, k_decay, cx_floor, mach_cap, *, {kernel['free']}):\n"
         f"    def rhs(t, y, u):\n{indent(rhs)}\n\n"
         f"    def {name}_rk4_step(t, y, u, dt):\n{indent(body)}\n\n"
         f"    rhs.rk4_step = {name}_rk4_step\n    return rhs\n"
     )
 
 
-@functools.cache
-def _kernel_factory(name: str) -> Callable:
-    """The compiled ``make`` of kernel ``name``: compiled on first use, once
-    per process, and registered in ``linecache`` so tracebacks show it."""
-    source = _kernel_source(name)
-    filename = f"<reentrysim.dynamics generated {name} kernel>"
-    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-    namespace = {}
-    exec(compile(source, filename, "exec"), globals(), namespace)
-    return namespace["make"]
+_FACTORIES: dict = {}
+
+
+def _kernel_factory(name: str, vs_branches: tuple, segments: tuple) -> Callable:
+    """The compiled ``make`` of kernel ``name`` over these tables, once per
+    process and table set (keyed by ``repr``, which tells -0.0 from 0.0),
+    and in ``linecache`` under its own name so tracebacks show its lines."""
+    key = (name, repr(vs_branches), repr(segments))
+    if key not in _FACTORIES:
+        source = _kernel_source(name, vs_branches, segments)
+        crc = zlib.crc32(source.encode())
+        filename = f"<reentrysim.dynamics generated {name} kernel {crc:08x}>"
+        linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+        namespace = {}
+        exec(compile(source, filename, "exec"), globals(), namespace)
+        _FACTORIES[key] = namespace["make"]
+    return _FACTORIES[key]
 
 
 def _generated_rhs(name: str, env: AtmosphereModel, drag: DragModel, **free) -> Callable:
     """The RHS of kernel ``name`` over ``env`` and ``drag``, with its fused step.
 
-    The speed-of-sound branches and drag segments lose their lower bounds.
-    Both tables tile [0, inf) in ascending order, so the first row whose
-    upper bound exceeds a value is the interval holding it: the row a
-    ``lo <= x < hi`` scan finds, at one comparison per row.
+    The tables are compiled into the kernel; the density, ``cx_floor``,
+    ``mach_cap`` and ``free`` are arguments of its ``make``, so runs that
+    differ only in density (density noise) share one compiled kernel.
     """
-    vs_rows = tuple(row[1:] for row in env.vs_branches)
-    cx_rows = tuple(row[1:] for row in drag.segments)
-    return _kernel_factory(name)(env.rho0, env.k_decay, vs_rows, cx_rows, drag.cx_floor,
-                                 drag.mach_cap, **free)
+    return _kernel_factory(name, env.vs_branches, drag.segments)(
+        env.rho0, env.k_decay, drag.cx_floor, drag.mach_cap, **free)
 
 
 class TrajectoryPoint(NamedTuple):

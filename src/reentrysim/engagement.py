@@ -100,7 +100,7 @@ class GaussianStream:
         )
 
     def gaussian(self, mu: float = 0.0, sigma: float = 1.0) -> float:
-        if sigma < 0.0:
+        if not sigma >= 0.0:
             raise DomainError(f"sigma must be >= 0, got {sigma}")
         if sigma == 0.0:
             return mu

@@ -174,7 +174,7 @@ def pinned_pitch_profile(
     accumulates distance flown, whatever the pitch.
 
     The RHS and its fused step are the generated ``profile`` kernel,
-    compiled once per process from the stage template of
+    compiled once per table set from the stage template of
     ``dynamics._kernel_source``, with the readable model's arithmetic.  The
     step has the bits of ``_rk4_generic``, which replays it on any error and
     so raises the RHS's :class:`DomainError`.

@@ -1,5 +1,6 @@
 import math
 import traceback
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -25,9 +26,11 @@ from reentrysim.dynamics import (
     _kernel_source,
     _rk4_generic,
 )
-from reentrysim.aero import vehicle_drag_model
+from reentrysim.aero import DragModel, interceptor_drag_model, vehicle_drag_model
+from reentrysim.engagement import batch_run_results
 from reentrysim.errors import ConfigError, DomainError, IntegrationAbort
 from reentrysim.interceptor import pinned_pitch_profile, type1_spec, type2_spec
+from reentrysim.presets import CALIBRATED_NOISE, scenario_for_range
 
 VACUUM = AtmosphereModel(
     rho0=0.0,
@@ -183,7 +186,7 @@ def test_unrolled_vehicle_step_matches_the_generic_step(x, v, theta, y, z, w, n,
     assert outcome(rk4_step, rhs, 7.0, s, u, dt) == outcome(_rk4_generic, rhs, 7.0, s, u, dt)
 
 
-def profile_rhs(spec, theta):
+def profile_rhs(spec, theta, env=DEFAULT_ATMOSPHERE):
     """The 4-state RHS pinned_pitch_profile builds, caught at its first step."""
     seen = []
 
@@ -192,7 +195,7 @@ def profile_rhs(spec, theta):
         return rk4_step(rhs, t, y, u, dt)
 
     with mock.patch.object(interceptor, "rk4_step", spy):
-        pinned_pitch_profile(spec, theta, 0.02)
+        pinned_pitch_profile(spec, theta, 0.02, env)
     return seen[0]
 
 
@@ -399,17 +402,91 @@ def test_infinite_speed_aborts_the_interceptor_rhs_instead_of_crashing():
     assert err.value.t == 1.0
 
 
+# Tables off the stock ones, each compiled into kernels of its own: other
+# drag seams without a Mach cap, other speed-of-sound branches, and signed
+# zeros, which equal 0.0 as floats but not as literals.
+OFF_STOCK = {
+    "drag seams at 0.7 and 1.3, uncapped": (
+        DEFAULT_ATMOSPHERE, vehicle_drag_model(breakpoints=(0.7, 1.3), mach_cap=math.inf)),
+    "three speed-of-sound branches": (
+        AtmosphereModel(vs_branches=((0.0, 5.0, 340.0, -3.0, 0.0), (5.0, 30.0, 325.0, 0.0, 5.0),
+                                     (30.0, math.inf, 300.0, 0.5, 0.0))),
+        vehicle_drag_model()),
+    "signed zeros": (
+        AtmosphereModel(vs_branches=((0.0, 5.0, 340.0, -3.0, -0.0), (5.0, 30.0, 325.0, -0.0, 5.0),
+                                     (30.0, math.inf, 300.0, 0.5, -0.0))),
+        DragModel(segments=((0.0, 0.9, -0.0, 0.3, 0.25), (0.9, 2.0, 0.1, -0.0, 0.4),
+                            (2.0, math.inf, -0.0, -0.0, 0.2)), mach_cap=5.0)),
+}
+
+
+def seams_and_non_finite(env, drag):
+    """Altitudes at and beside every speed-of-sound seam, speeds at and beside
+    every drag seam at 20 km, each list with NaN and both infinities."""
+    def around(values):
+        return [x for v in values for x in (v, math.nextafter(v, -math.inf),
+                                             math.nextafter(v, math.inf))]
+
+    heights = around([hi * 1000.0 for _lo, hi, *_ in env.vs_branches[:-1]] + [0.0, 20_000.0])
+    vs_20km = env.speed_of_sound(20_000.0)
+    speeds = around([hi * vs_20km for _lo, hi, *_ in drag.segments[:-1]] + [1.0, 900.0, 7873.0])
+    non_finite = [math.nan, math.inf, -math.inf]
+    return heights + non_finite, speeds + non_finite
+
+
+@pytest.mark.parametrize("tables", OFF_STOCK)
+def test_kernels_off_the_stock_tables_match_the_references(tables):
+    env, drag = OFF_STOCK[tables]
+    vehicle_spec, missile_spec = VehicleSpec(drag=drag), replace(type1_spec(), drag=drag)
+    vehicle = make_vehicle_rhs(vehicle_spec, env)
+    missile = make_interceptor_rhs(missile_spec, env)
+    profile = profile_rhs(missile_spec, 1.0, env)
+    heights, speeds = seams_and_non_finite(env, drag)
+    for h in heights:
+        for v in speeds:
+            for rhs, s in ((vehicle, (0.0, h, 0.0, v, -0.2, 0.0, 1.0)),
+                           (missile, (0.0, h, 0.0, v, 0.8, 0.0, 1.0, 800.0)),
+                           (profile, (v, h, 800.0, 0.0))):
+                assert outcome(rk4_step, rhs, 5.0, s, 2.0, 0.02) == outcome(
+                    _rk4_generic, rhs, 5.0, s, 2.0, 0.02)
+            if not (math.isfinite(h) and math.isfinite(v) and v >= 1.0):
+                continue
+            s = VehicleState(t=5.0, x=0.0, y=h, z=0.0, v=v, theta=-0.2, n=1.0)
+            assert vehicle(5.0, s.as_vector(), 2.0) == pytest.approx(
+                tuple(vehicle_derivatives(s, 2.0, vehicle_spec, env)), rel=1e-12)
+            s = InterceptorState(t=5.0, x=0.0, y=h, z=0.0, v=v, theta=0.8, w=0.0, n=1.0, mass=800.0)
+            assert missile(5.0, s.as_vector(), 2.0) == pytest.approx(
+                tuple(interceptor_derivatives(s, 2.0, missile_spec, env)), rel=1e-12)
+
+
+def test_a_nan_table_entry_aborts_as_the_reference_does():
+    # validation lets a NaN base through; the kernel spells it ``nan``
+    rhs = make_vehicle_rhs(VehicleSpec(), AtmosphereModel(vs_branches=((0.0, math.inf, math.nan,
+                                                                        0.0, 0.0),)))
+    s = (0.0, 1_000.0, 0.0, 900.0, -0.1, 0.0, 0.0)
+    with pytest.raises(IntegrationAbort, match="non-finite Mach"):
+        rhs(0.0, s, 0.0)
+    assert outcome(rk4_step, rhs, 0.0, s, 0.0, 0.02) == outcome(_rk4_generic, rhs, 0.0, s, 0.0, 0.02)
+
+
 KERNELS = Path(__file__).parent / "kernels"
+# the stock tables each kernel flies on
+STOCK_DRAG = {"vehicle": vehicle_drag_model(), "interceptor": interceptor_drag_model(),
+              "profile": interceptor_drag_model()}
 REWRITE = (
-    "PYTHONPATH=src python -c \"from reentrysim import dynamics as d; "
-    "[open(f'tests/kernels/{n}.txt', 'w').write(d._kernel_source(n)) for n in d._KERNELS]\""
+    "PYTHONPATH=src:tests python -c \"import test_dynamics as t; "
+    "[(t.KERNELS / f'{n}.txt').write_text(t.stock_source(n)) for n in t.STOCK_DRAG]\""
 )
+
+
+def stock_source(name):
+    return _kernel_source(name, DEFAULT_ATMOSPHERE.vs_branches, STOCK_DRAG[name].segments)
 
 
 @pytest.mark.parametrize("name", dynamics._KERNELS)
 def test_generated_kernel_source_matches_its_snapshot(name):
     snapshot = (KERNELS / f"{name}.txt").read_text(encoding="utf-8")
-    assert _kernel_source(name) == snapshot, (
+    assert stock_source(name) == snapshot, (
         f"the generated {name} kernel changed; review the diff after rewriting the "
         f"snapshots from the repository root with:\n{REWRITE}"
     )
@@ -426,14 +503,46 @@ def test_kernels_compile_once_per_process_and_show_in_tracebacks():
     with pytest.raises(DomainError) as err:
         rhs.rk4_step(0.0, (100.0, math.nan, 900.0, 0.0), 0.0, 0.02)
     text = "".join(traceback.format_tb(err.value.__traceback__))
-    assert "<reentrysim.dynamics generated profile kernel>" in text
+    assert "<reentrysim.dynamics generated profile kernel " in text
     assert "return _rk4_generic(rhs, t, y, u, dt)" in text
-    # a plain RHS call raises from its own generated line
-    with pytest.raises(IntegrationAbort) as err:
-        make_vehicle_rhs(VehicleSpec())(0.0, (0.0, math.inf, 0.0, 900.0, -0.2, 0.0, 0.0), 0.0)
-    text = "".join(traceback.format_tb(err.value.__traceback__))
-    assert "<reentrysim.dynamics generated vehicle kernel>" in text
-    assert 'raise IntegrationAbort("non-finite altitude", t, y)' in text
+    # a plain RHS call raises from its own generated line, whatever its
+    # tables: the shorter chain of other tables puts the line elsewhere
+    frames = []
+    for env in (DEFAULT_ATMOSPHERE, OFF_STOCK["three speed-of-sound branches"][0]):
+        with pytest.raises(IntegrationAbort) as err:
+            make_vehicle_rhs(VehicleSpec(), env)(0.0, (0.0, math.inf, 0.0, 900.0, -0.2, 0.0, 0.0), 0.0)
+        frames.append(traceback.extract_tb(err.value.__traceback__)[-1])
+        assert frames[-1].filename.startswith("<reentrysim.dynamics generated vehicle kernel ")
+        assert frames[-1].line == 'raise IntegrationAbort("non-finite altitude", t, y)'
+    assert frames[0].filename != frames[1].filename
+    assert frames[0].lineno != frames[1].lineno
+
+
+def test_each_table_set_compiles_its_own_kernel_once():
+    plain, signed = (OFF_STOCK[k][0] for k in ("three speed-of-sound branches", "signed zeros"))
+    assert plain == signed  # as floats, -0.0 == 0.0
+    uncapped = OFF_STOCK["drag seams at 0.7 and 1.3, uncapped"][1]
+    with mock.patch.dict(dynamics._FACTORIES, clear=True), \
+            mock.patch.object(dynamics, "compile", wraps=compile, create=True) as compiled:
+        rhs = [make_vehicle_rhs(VehicleSpec(), plain), make_vehicle_rhs(VehicleSpec(), signed),
+               make_vehicle_rhs(VehicleSpec(drag=uncapped), plain)]
+        assert compiled.call_count == 3
+        assert len({r.rk4_step.__code__.co_filename for r in rhs}) == 3
+        # density, floor and cap are arguments of the compiled kernel
+        make_vehicle_rhs(VehicleSpec(drag=vehicle_drag_model(cx_floor=0.07, mach_cap=3.0)),
+                         replace(plain, rho0=1.3, k_decay=1e-4))
+        assert compiled.call_count == 3
+
+
+def test_a_calibrated_noise_batch_compiles_its_kernel_once():
+    scenario = replace(scenario_for_range(615_000), noise=CALIBRATED_NOISE, runs=3, seed=5)
+    with mock.patch.dict(dynamics._FACTORIES, clear=True), \
+            mock.patch.object(dynamics, "compile", wraps=compile, create=True) as compiled, \
+            mock.patch.object(dynamics, "_generated_rhs", wraps=dynamics._generated_rhs) as built:
+        batch_run_results(scenario)
+    densities = {call.args[1].rho0 for call in built.call_args_list}
+    assert len(densities) >= scenario.runs
+    assert compiled.call_count == 1
 
 
 def test_unrolled_step_tracks_the_generic_step_along_an_entry():
@@ -574,3 +683,8 @@ def test_invalid_specs_rejected():
         IntegratorConfig(g=-1.0)
     with pytest.raises(ConfigError):
         IntegratorConfig(t_max=0.0)
+    # non-finite values, which the step loops cannot size
+    for bad in (math.inf, math.nan):
+        for key in ("t_max", "g", "sample_interval"):
+            with pytest.raises(ConfigError, match=key):
+                IntegratorConfig(**{key: bad})

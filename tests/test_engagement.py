@@ -111,6 +111,8 @@ class TestGaussianStream:
         with pytest.raises(DomainError):
             s.gaussian(0.0, -1.0)
         with pytest.raises(DomainError):
+            s.gaussian(0.0, math.nan)
+        with pytest.raises(DomainError):
             s.substream(-1)
 
 
