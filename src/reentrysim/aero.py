@@ -56,9 +56,11 @@ class DragModel:
         if not self.mach_cap > 0.0:
             raise ConfigError(f"mach_cap must be > 0, got {self.mach_cap}")
         lo_expect = 0.0
-        for m_low, m_high, _c2, _c1, _c0 in self.segments:
+        for m_low, m_high, c2, c1, c0 in self.segments:
             if m_low != lo_expect or m_high <= m_low:
                 raise ConfigError("drag segments must tile [0, inf) without gaps")
+            if not all(map(math.isfinite, (c2, c1, c0))):
+                raise ConfigError(f"drag segment at Mach {m_low} must be finite")
             lo_expect = m_high
         if lo_expect != math.inf:
             raise ConfigError("drag segments must cover all Mach numbers")
@@ -97,10 +99,6 @@ def vehicle_drag_model(
     return _build(VEHICLE_CX_COEFFS, breakpoints, cx_floor, mach_cap)
 
 
-def interceptor_drag_model(
-    breakpoints=MACH_BREAKPOINTS,
-    cx_floor: float = CX_FLOOR,
-    mach_cap: float = math.inf,
-) -> DragModel:
-    """Stock interceptor drag model."""
-    return _build(INTERCEPTOR_CX_COEFFS, breakpoints, cx_floor, mach_cap)
+def interceptor_drag_model() -> DragModel:
+    """Stock interceptor drag model: no Mach cap."""
+    return _build(INTERCEPTOR_CX_COEFFS, MACH_BREAKPOINTS, CX_FLOOR, math.inf)

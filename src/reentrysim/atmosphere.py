@@ -54,6 +54,8 @@ class AtmosphereModel:
                 raise ConfigError(f"speed-of-sound branches leave a gap at {lo_expect} km")
             if hi <= lo:
                 raise ConfigError(f"empty speed-of-sound branch at {lo} km")
+            if not all(map(math.isfinite, (base, slope, ref))):
+                raise ConfigError(f"speed-of-sound branch at {lo} km must be finite")
             for h_km in (lo, min(hi, 1000.0)):
                 if base + slope * (h_km - ref) <= 0.0:
                     raise ConfigError(f"speed of sound non-positive inside branch at {lo} km")

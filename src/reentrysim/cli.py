@@ -214,8 +214,8 @@ def dump_scenario(scenario: Scenario) -> str:
 
     Writes every key the format exposes with its resolved value, so
     parsing the dump reproduces any scenario that came from a file.
-    Fields outside the format (entry t/z/w/n, custom drag tables,
-    per-site spec overrides) are not representable and are dropped.
+    Fields outside the format (entry t/z/w/n, custom drag tables) are
+    not representable and are dropped; a site is its x and kind.
     """
     cp = configparser.ConfigParser(interpolation=None)
     for section, key, kind, path in _KEYS:

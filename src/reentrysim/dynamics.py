@@ -51,7 +51,7 @@ import re
 import textwrap
 import zlib
 from dataclasses import dataclass, field
-from math import cos, exp, inf, isfinite, nan, sin  # exp, isfinite, nan: read by generated code
+from math import cos, exp, inf, isfinite, sin  # exp, isfinite: read by generated code
 from typing import Callable, NamedTuple, Sequence
 
 from .aero import DragModel, vehicle_drag_model

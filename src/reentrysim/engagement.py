@@ -42,13 +42,7 @@ from .guidance import (
     SeekerModel,
     wrap_angle,
 )
-from .interceptor import (
-    InterceptorSpec,
-    ReachTable,
-    launch_decision,
-    type1_spec,
-    type2_spec,
-)
+from .interceptor import STOCK_SPECS, InterceptorSpec, ReachTable, launch_decision
 
 MISS_NONE = math.inf  # sentinel miss distance when nothing was launched
 
@@ -125,8 +119,8 @@ class NoiseConfig:
 
     def __post_init__(self):
         for name in ("seeker_angle_sigma", "atmosphere_density_sigma", "turbulence_sigma"):
-            if not getattr(self, name) >= 0.0:
-                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -135,16 +129,13 @@ class InterceptorSite:
 
     x: float
     kind: str = "type-1"
-    spec: InterceptorSpec | None = None  # overrides the default spec for kind
 
     def __post_init__(self):
-        if self.kind not in ("type-1", "type-2"):
+        if self.kind not in STOCK_SPECS:
             raise ConfigError(f"unknown interceptor kind {self.kind!r}")
 
     def resolve_spec(self) -> InterceptorSpec:
-        if self.spec is not None:
-            return self.spec
-        return type1_spec() if self.kind == "type-1" else type2_spec()
+        return STOCK_SPECS[self.kind]
 
 
 @dataclass(frozen=True)

@@ -13,10 +13,10 @@ Kill probability is tabulated as (P, H, D, V) rows: P was recorded at
 altitude H with the engagement crossing at distance D and target speed V.
 Lookups interpolate P on altitude and treat D and V as co-recorded
 coordinates: queries far from the recorded D/V of the interpolated row
-(beyond ``margin``, a fraction) return 0, and a query at a row's own
-coordinates returns its P exactly.  Targets faster than both the recorded
-speed and the 1500 m/s attenuation threshold scale P down by the tabulated
-speed-probability roll-off.
+(beyond ``KILL_TABLE_MARGIN``, a fraction) return 0, and a query at a
+row's own coordinates returns its P exactly.  Targets faster than both the
+recorded speed and the 1500 m/s attenuation threshold scale P down by the
+tabulated speed-probability roll-off.
 """
 
 from __future__ import annotations
@@ -39,6 +39,14 @@ TYPE2_WING_AREA = 2.0           # m^2, assumed; not identifiable from the refere
 
 TYPE1_CALIBRATION_PITCH = 2.321   # rad, pinned flight-path angle of the reference table
 TYPE2_CALIBRATION_PITCH = 3.0181  # rad, boost-leg angle; later rows steer away
+# calibration targets, read off the reference speed histories
+TYPE1_PEAK_SPEED = 1625.9         # m/s, at burnout
+TYPE1_ANCHOR_SPEED = 810.2        # m/s at TYPE1_ANCHOR_TIME, sets the coast decay
+TYPE1_ANCHOR_TIME = 36.0          # s
+TYPE2_PEAK_SPEED = 721.2          # m/s
+TYPE2_REPORT_TIME = 8.0           # s, speed reported for inspection, not matched
+
+PROFILE_DT = 0.02  # s, step of the pinned-pitch profiles
 
 
 @dataclass(frozen=True)
@@ -143,6 +151,9 @@ def type2_spec(
     )
 
 
+STOCK_SPECS = {"type-1": type1_spec(), "type-2": type2_spec()}  # one per kind, built once
+
+
 class ProfilePoint(NamedTuple):
     t: float
     v: float
@@ -164,7 +175,7 @@ def pinned_pitch_profile(
     t_end: float,
     env: AtmosphereModel = DEFAULT_ATMOSPHERE,
     g: float = G0,
-    dt: float = 0.02,
+    dt: float = PROFILE_DT,
     y0: float = 10.0,
 ) -> FlightProfile:
     """Fly the thrust schedule at a frozen flight-path angle.
@@ -198,8 +209,8 @@ def pinned_pitch_profile(
     return FlightProfile(tuple(points), v_peak, t_peak)
 
 
-def _bisect(f, lo: float, hi: float, tol: float, it_max: int = 60) -> float:
-    """Root of f on [lo, hi]; f(lo) and f(hi) must bracket a sign change."""
+def _bisect(f, lo: float, hi: float, tol: float) -> float:
+    """Root of f on [lo, hi] in at most 60 halvings; f(lo), f(hi) must bracket a sign change."""
     f_lo, f_hi = f(lo), f(hi)
     if f_lo == 0.0:
         return lo
@@ -207,7 +218,7 @@ def _bisect(f, lo: float, hi: float, tol: float, it_max: int = 60) -> float:
         return hi
     if (f_lo > 0.0) == (f_hi > 0.0):
         raise ConfigError(f"calibration target not bracketed on [{lo}, {hi}]")
-    for _ in range(it_max):
+    for _ in range(60):
         mid = 0.5 * (lo + hi)
         f_mid = f(mid)
         if abs(f_mid) < tol or hi - lo < 1e-12 * max(1.0, abs(mid)):
@@ -241,62 +252,41 @@ class CalibrationResult(NamedTuple):
     v_anchor: float
 
 
-def _fit_profile(
-    make_profile,
-    knob_bounds: tuple,
-    area_bounds: tuple,
-    v_peak_target: float,
-    v_anchor_target: float,
-    anchor_time: float,
-) -> CalibrationResult:
-    """Nested fit: the thrust knob sets the peak speed at fixed drag area
-    (inner bisection), the drag area sets the post-peak decay (outer)."""
+def _v_at(prof: FlightProfile, t: float) -> float:
+    """Speed at the profile point nearest t, or at its last point."""
+    return prof.points[min(round(t / PROFILE_DT), len(prof.points) - 1)].v
 
-    def v_at(prof, t):
-        return prof.points[min(round(t / 0.02), len(prof.points) - 1)].v
 
+def _fit_profile(make_profile) -> CalibrationResult:
+    """Nested fit to the type-1 targets: the thrust knob sets the peak speed
+    at fixed drag area (inner bisection), the drag area sets the post-peak
+    decay (outer)."""
     fitted = {}  # area -> (knob, profile); the outer root is usually one of them
 
     def fit_knob(area):
         if area not in fitted:
-            fitted[area] = _fit_peak(lambda knob: make_profile(knob, area), knob_bounds,
-                                     v_peak_target)
+            fitted[area] = _fit_peak(lambda knob: make_profile(knob, area), (60_000.0, 500_000.0),
+                                     TYPE1_PEAK_SPEED)
         return fitted[area]
 
     def anchor_residual(area):
-        return v_at(fit_knob(area)[1], anchor_time) - v_anchor_target
+        return _v_at(fit_knob(area)[1], TYPE1_ANCHOR_TIME) - TYPE1_ANCHOR_SPEED
 
-    area = _bisect(anchor_residual, area_bounds[0], area_bounds[1], 1e-6)
+    area = _bisect(anchor_residual, 0.3, 3.0, 1e-6)
     knob, prof = fit_knob(area)
-    return CalibrationResult(knob, area, prof.v_peak, prof.t_peak, v_at(prof, anchor_time))
+    return CalibrationResult(knob, area, prof.v_peak, prof.t_peak, _v_at(prof, TYPE1_ANCHOR_TIME))
 
 
-def calibrate_type1(
-    v_peak_target: float = 1625.9,
-    v_anchor_target: float = 810.2,
-    anchor_time: float = 36.0,
-    env: AtmosphereModel = DEFAULT_ATMOSPHERE,
-) -> CalibrationResult:
+def calibrate_type1() -> CalibrationResult:
     """Fit type-1 thrust and drag area to the reference speed history."""
-    theta = TYPE1_CALIBRATION_PITCH
-
     def make_profile(thrust, area):
-        return pinned_pitch_profile(
-            type1_spec(thrust=thrust, wing_area=area), theta, anchor_time + 1.0, env
-        )
+        return pinned_pitch_profile(type1_spec(thrust=thrust, wing_area=area),
+                                    TYPE1_CALIBRATION_PITCH, TYPE1_ANCHOR_TIME + 1.0)
 
-    return _fit_profile(
-        make_profile, (60_000.0, 500_000.0), (0.3, 3.0),
-        v_peak_target, v_anchor_target, anchor_time,
-    )
+    return _fit_profile(make_profile)
 
 
-def calibrate_type2(
-    v_peak_target: float = 721.2,
-    report_time: float = 8.0,
-    wing_area: float | None = None,
-    env: AtmosphereModel = DEFAULT_ATMOSPHERE,
-) -> CalibrationResult:
+def calibrate_type2() -> CalibrationResult:
     """Fit the type-2 shared specific impulse to the reference peak; the
     fitted impulse is returned in the ``thrust`` slot.
 
@@ -305,19 +295,15 @@ def calibrate_type2(
     the post-peak rows imply more supersonic drag than the floored drag
     curve can express at any area. It is therefore frozen as an assumed
     cross-section and only the impulse is fitted. The speed at
-    ``report_time`` is reported for inspection, not matched.
+    ``TYPE2_REPORT_TIME`` is reported for inspection, not matched.
     """
-    theta = TYPE2_CALIBRATION_PITCH
-    area = TYPE2_WING_AREA if wing_area is None else wing_area
-
     def make_profile(isp):
-        return pinned_pitch_profile(
-            type2_spec(specific_impulse=isp, wing_area=area), theta, report_time + 1.0, env
-        )
+        return pinned_pitch_profile(type2_spec(specific_impulse=isp, wing_area=TYPE2_WING_AREA),
+                                    TYPE2_CALIBRATION_PITCH, TYPE2_REPORT_TIME + 1.0)
 
-    isp, prof = _fit_peak(make_profile, (60.0, 500.0), v_peak_target)
-    v_report = prof.points[min(round(report_time / 0.02), len(prof.points) - 1)].v
-    return CalibrationResult(isp, area, prof.v_peak, prof.t_peak, v_report)
+    isp, prof = _fit_peak(make_profile, (60.0, 500.0), TYPE2_PEAK_SPEED)
+    return CalibrationResult(isp, TYPE2_WING_AREA, prof.v_peak, prof.t_peak,
+                             _v_at(prof, TYPE2_REPORT_TIME))
 
 
 # --------------------------------------------------------------------------
@@ -343,11 +329,11 @@ ENGAGEMENT_ZONES = (
 )
 
 
-def zone_classify(d: float, h: float, zones=ENGAGEMENT_ZONES):
+def zone_classify(d: float, h: float):
     """Zone index containing ground distance d and altitude h, else None."""
     if d < 0.0:
         raise DomainError(f"distance must be >= 0, got {d}")
-    for zone in zones:
+    for zone in ENGAGEMENT_ZONES:
         if zone.contains(d, h):
             return zone.index
     return None
@@ -356,14 +342,15 @@ def zone_classify(d: float, h: float, zones=ENGAGEMENT_ZONES):
 # --------------------------------------------------------------------------
 # Kill tables
 
+KILL_TABLE_MARGIN = 0.5  # co-recorded D/V proximity, fraction
+
 
 @dataclass(frozen=True)
 class KillTable:
     """(p, h, d, v) rows sorted by altitude; see module docstring."""
 
     rows: tuple
-    margin: float = 0.5  # co-recorded D/V proximity, fraction
-    speed_attenuation: tuple = ()  # (v, p) roll-off anchors, ascending v
+    speed_attenuation: tuple  # (v, p) roll-off anchors, at least two, ascending v
 
     def __post_init__(self):
         if not self.rows:
@@ -374,8 +361,11 @@ class KillTable:
         for p, h, d, v in self.rows:
             if not (0.0 <= p <= 1.0 and h > 0.0 and d > 0.0 and v > 0.0):
                 raise ConfigError(f"bad kill-table row {(p, h, d, v)}")
-        if not 0.0 < self.margin:
-            raise ConfigError("margin must be > 0")
+        vs = [v for v, _p in self.speed_attenuation]
+        if len(vs) < 2 or not all(-math.inf < a < b < math.inf for a, b in zip(vs, vs[1:])):
+            raise ConfigError("speed roll-off needs at least two finite, ascending anchor speeds")
+        if not all(0.0 <= p <= 1.0 for _v, p in self.speed_attenuation):
+            raise ConfigError("speed roll-off probabilities must lie in [0, 1]")
 
 
 TYPE1_KILL_TABLE = KillTable(
@@ -466,12 +456,12 @@ def kill_probability(table: KillTable, h: float, d: float, v: float) -> float:
         p_h = lo[0] + frac * (hi[0] - lo[0])
         d_h = lo[2] + frac * (hi[2] - lo[2])
         v_h = lo[3] + frac * (hi[3] - lo[3])
-    if abs(d - d_h) > table.margin * d_h:
+    if abs(d - d_h) > KILL_TABLE_MARGIN * d_h:
         return 0.0
-    if abs(v - v_h) > table.margin * v_h:
+    if abs(v - v_h) > KILL_TABLE_MARGIN * v_h:
         return 0.0
     p = p_h
-    if v >= SPEED_ATTENUATION_THRESHOLD and v > v_h and table.speed_attenuation:
+    if v >= SPEED_ATTENUATION_THRESHOLD and v > v_h:
         ratio = _speed_rolloff(table.speed_attenuation, v) / _speed_rolloff(
             table.speed_attenuation, max(v_h, SPEED_ATTENUATION_THRESHOLD)
         )
@@ -481,6 +471,9 @@ def kill_probability(table: KillTable, h: float, d: float, v: float) -> float:
 
 # --------------------------------------------------------------------------
 # Launch planning
+
+REACH_ELEVATION = 1.0  # rad, pitch of the reach profile
+REACH_T_END = 120.0    # s, longest fly-out the planner considers
 
 
 @dataclass(frozen=True)
@@ -492,14 +485,9 @@ class ReachTable:
     path: tuple
 
     @classmethod
-    def build(
-        cls,
-        spec: InterceptorSpec,
-        env: AtmosphereModel = DEFAULT_ATMOSPHERE,
-        elevation: float = 1.0,
-        t_end: float = 120.0,
-    ) -> "ReachTable":
-        prof = pinned_pitch_profile(spec, elevation, t_end, env)
+    def build(cls, spec: InterceptorSpec,
+              env: AtmosphereModel = DEFAULT_ATMOSPHERE) -> "ReachTable":
+        prof = pinned_pitch_profile(spec, REACH_ELEVATION, REACH_T_END, env)
         return cls(
             times=tuple(p.t for p in prof.points),
             path=tuple(p.path for p in prof.points),
@@ -535,7 +523,6 @@ def launch_decision(
     spec: InterceptorSpec,
     reach: ReachTable,
     now: float = 0.0,
-    zones=ENGAGEMENT_ZONES,
 ) -> LaunchPlan | None:
     """Earliest feasible intercept against a predicted track.
 
@@ -549,7 +536,7 @@ def launch_decision(
             continue
         dx = x - site_x
         d = abs(dx)
-        zone = zone_classify(d, y, zones)
+        zone = zone_classify(d, y)
         if zone is None:
             continue
         slant = math.hypot(dx, y)

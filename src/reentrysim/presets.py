@@ -45,7 +45,6 @@ class RangePreset:
     arrive slow.
     """
 
-    nominal_range: float     # m, the advertised range
     target_x: float          # m, converged unperturbed impact point
     pullup_start: float      # m, 0 keeps the descent ballistic until acquisition
     hold_altitude: float     # m, glide-hold setpoint (unused when ballistic)
@@ -70,7 +69,6 @@ class RangePreset:
 
 _PRESETS = {
     615_000: RangePreset(
-        nominal_range=615_000.0,
         target_x=615_019.4,
         pullup_start=0.0,
         hold_altitude=35_000.0,
@@ -79,7 +77,6 @@ _PRESETS = {
         terminal_gain=240.0,
     ),
     675_000: RangePreset(
-        nominal_range=675_000.0,
         target_x=674_998.2,
         pullup_start=0.0,
         hold_altitude=35_000.0,
@@ -88,7 +85,6 @@ _PRESETS = {
         terminal_gain=4800.0,
     ),
     800_000: RangePreset(
-        nominal_range=800_000.0,
         target_x=799_996.9,
         pullup_start=38_200.0,
         hold_altitude=35_000.0,
@@ -97,7 +93,6 @@ _PRESETS = {
         terminal_gain=1200.0,
     ),
     950_000: RangePreset(
-        nominal_range=950_000.0,
         target_x=949_996.1,
         pullup_start=39_200.0,
         hold_altitude=36_000.0,
@@ -106,7 +101,6 @@ _PRESETS = {
         terminal_gain=600.0,
     ),
     1_000_000: RangePreset(
-        nominal_range=1_000_000.0,
         target_x=999_993.8,
         pullup_start=39_700.0,
         hold_altitude=36_500.0,
@@ -115,7 +109,6 @@ _PRESETS = {
         terminal_gain=320.0,
     ),
     1_100_000: RangePreset(
-        nominal_range=1_100_000.0,
         target_x=1_099_994.9,
         pullup_start=40_700.0,
         hold_altitude=37_500.0,

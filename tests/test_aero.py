@@ -82,3 +82,16 @@ def test_invalid_mach_rejected():
     for bad in (-0.1, math.nan, math.inf):
         with pytest.raises(DomainError):
             m.cx(bad)
+
+
+@pytest.mark.parametrize("segments", [
+    ((0.0, math.inf, math.nan, 0.0, 0.0),),
+    ((0.0, math.inf, 0.0, math.inf, 0.0),),
+    ((0.0, 1.0, 1.0, 0.0, 0.0), (1.0, math.inf, 0.0, 0.0, -math.inf)),
+    # non-finite seams other than the last upper bound
+    ((0.0, math.nan, 1.0, 0.0, 0.0), (math.nan, math.inf, 1.0, 0.0, 0.0)),
+    ((0.0, math.inf, 1.0, 0.0, 0.0), (math.inf, math.inf, 1.0, 0.0, 0.0)),
+])
+def test_non_finite_tables_rejected(segments):
+    with pytest.raises(ConfigError):
+        DragModel(segments=segments)

@@ -89,3 +89,17 @@ def test_non_finite_altitude_rejected():
             ATM.speed_of_sound(bad)
     with pytest.raises(DomainError):
         ATM.mach(-1.0, 0.0)
+
+
+@pytest.mark.parametrize("branches", [
+    ((0.0, math.inf, math.nan, 0.0, 0.0),),
+    ((0.0, math.inf, 300.0, math.inf, 0.0),),
+    ((0.0, math.inf, 300.0, 0.0, math.inf),),  # 0 * inf: a NaN speed of sound
+    ((0.0, math.inf, 300.0, 0.0, math.nan),),
+    # non-finite seams other than the last upper bound
+    ((0.0, math.nan, 300.0, 0.0, 0.0), (math.nan, math.inf, 300.0, 0.0, 0.0)),
+    ((0.0, math.inf, 300.0, 0.0, 0.0), (math.inf, math.inf, 300.0, 0.0, 0.0)),
+])
+def test_non_finite_tables_rejected(branches):
+    with pytest.raises(ConfigError):
+        AtmosphereModel(vs_branches=branches)

@@ -25,6 +25,7 @@ from reentrysim.engagement import (
     summarize,
 )
 from reentrysim.errors import BatchError, ConfigError, DomainError
+from reentrysim.interceptor import type1_spec, type2_spec
 from reentrysim.presets import (
     CALIBRATED_NOISE,
     PRESET_RANGES,
@@ -114,6 +115,15 @@ class TestGaussianStream:
             s.gaussian(0.0, math.nan)
         with pytest.raises(DomainError):
             s.substream(-1)
+
+
+class TestNoiseConfig:
+    @pytest.mark.parametrize("name", ["seeker_angle_sigma", "atmosphere_density_sigma",
+                                      "turbulence_sigma"])
+    @pytest.mark.parametrize("bad", [-0.1, math.nan, math.inf])
+    def test_negative_and_non_finite_sigmas_are_rejected(self, name, bad):
+        with pytest.raises(ConfigError, match=name):
+            NoiseConfig(**{name: bad})
 
 
 class TestVehicleRun:
@@ -237,6 +247,17 @@ class TestEngagement:
     def test_needs_a_site(self):
         with pytest.raises(ConfigError):
             simulate_engagement(scenario_for_range(615_000))
+
+    @pytest.mark.parametrize("kind, stock", [("type-1", type1_spec), ("type-2", type2_spec)])
+    def test_sites_fly_the_one_stock_spec_of_their_kind(self, kind, stock):
+        site = InterceptorSite(x=21_000.0, kind=kind)
+        assert site.resolve_spec() == stock()
+        assert site.resolve_spec() is site.resolve_spec()
+        assert site.resolve_spec() is InterceptorSite(x=0.0, kind=kind).resolve_spec()
+
+    def test_unknown_kind_is_rejected(self):
+        with pytest.raises(ConfigError, match="unknown interceptor kind 'type-3'"):
+            InterceptorSite(x=21_000.0, kind="type-3")
 
     def test_unreachable_site_never_launches(self):
         sc = replace(

@@ -7,13 +7,16 @@ from hypothesis import example, given, settings, strategies as st
 from reentrysim.atmosphere import DEFAULT_ATMOSPHERE
 from reentrysim.dynamics import G0, _rk4_generic
 from reentrysim import engagement, interceptor
-from reentrysim.errors import DomainError
+from reentrysim.errors import ConfigError, DomainError
 from reentrysim.interceptor import (
     CalibrationResult,
     ENGAGEMENT_ZONES,
     FlightProfile,
+    KillTable,
     LaunchPlan,
     ProfilePoint,
+    REACH_ELEVATION,
+    REACH_T_END,
     ReachTable,
     TYPE1_CALIBRATION_PITCH,
     TYPE1_KILL_TABLE,
@@ -164,7 +167,7 @@ class TestProfileKernel:
     @pytest.mark.parametrize("theta, t_end", [
         (TYPE1_CALIBRATION_PITCH, 40.0),
         (TYPE2_CALIBRATION_PITCH, 40.0),
-        (1.0, 120.0),  # the reach-table elevation
+        (REACH_ELEVATION, REACH_T_END),
     ])
     def test_stock_profiles_are_bit_identical(self, spec, theta, t_end):
         fast = pinned_pitch_profile(spec, theta, t_end)
@@ -242,7 +245,7 @@ class TestCalibration:
             prof = make_profile(knob, area)
             return CalibrationResult(knob, area, prof.v_peak, prof.t_peak, prof.points[-1].v)
 
-        fitted = _fit_profile(make_profile, (60_000.0, 500_000.0), (0.3, 3.0), 1625.9, 810.2, 36.0)
+        fitted = _fit_profile(make_profile)
         assert len(calls) == len(set(calls))
         calls.clear()
         assert [value.hex() for value in fitted] == [value.hex() for value in plain_fit()]
@@ -348,6 +351,19 @@ class TestKillProbability:
                     for v in (300.0, 800.0, 1500.0, 2000.0, 3000.0):
                         p = kill_probability(table, float(h), float(d), v)
                         assert 0.0 <= p <= 1.0
+
+    @pytest.mark.parametrize("anchors, match", [
+        (((1200.0, 0.7),), "at least two"),
+        (((1200.0, 0.7), (1200.0, 0.6)), "ascending"),
+        (((1300.0, 0.7), (1200.0, 0.6)), "ascending"),
+        (((1200.0, 0.7), (math.inf, 0.6)), "finite"),
+        (((math.nan, 0.7), (1300.0, 0.6)), "finite"),
+        (((1200.0, 0.7), (1300.0, math.nan)), r"\[0, 1\]"),
+        (((1200.0, 1.5), (1300.0, 0.6)), r"\[0, 1\]"),
+    ])
+    def test_bad_speed_roll_offs_are_rejected(self, anchors, match):
+        with pytest.raises(ConfigError, match=match):
+            KillTable(rows=TYPE1_KILL_TABLE.rows, speed_attenuation=anchors)
 
     def test_invalid_inputs_rejected(self):
         with pytest.raises(DomainError):
