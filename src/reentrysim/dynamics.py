@@ -76,10 +76,6 @@ class VehicleState:
     def as_vector(self) -> tuple:
         return (self.x, self.y, self.z, self.v, self.theta, self.w, self.n)
 
-    @classmethod
-    def from_vector(cls, t: float, vec: Sequence[float]) -> "VehicleState":
-        return cls(t, *vec)
-
 
 @dataclass(frozen=True)
 class InterceptorState:
@@ -95,10 +91,6 @@ class InterceptorState:
 
     def as_vector(self) -> tuple:
         return (self.x, self.y, self.z, self.v, self.theta, self.w, self.n, self.mass)
-
-    @classmethod
-    def from_vector(cls, t: float, vec: Sequence[float]) -> "InterceptorState":
-        return cls(t, *vec)
 
 
 @dataclass(frozen=True)

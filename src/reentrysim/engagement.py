@@ -45,6 +45,7 @@ from .guidance import (
 from .interceptor import STOCK_SPECS, InterceptorSpec, ReachTable, launch_decision
 
 MISS_NONE = math.inf  # sentinel miss distance when nothing was launched
+PLANNING_GRID = 0.2   # s, spacing of the predicted track that launch planning scans
 
 _TWO_PI = 2.0 * math.pi
 
@@ -133,6 +134,8 @@ class InterceptorSite:
     def __post_init__(self):
         if self.kind not in STOCK_SPECS:
             raise ConfigError(f"unknown interceptor kind {self.kind!r}")
+        if not math.isfinite(self.x):
+            raise ConfigError(f"site x must be finite, got {self.x}")
 
     def resolve_spec(self) -> InterceptorSpec:
         return STOCK_SPECS[self.kind]
@@ -165,10 +168,13 @@ class Scenario:
             raise ConfigError(f"runs must be >= 1, got {self.runs}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if not self.kill_radius > 0.0:
-            raise ConfigError(f"kill_radius must be > 0, got {self.kill_radius}")
-        if len(self.target) != 2:
-            raise ConfigError("target must be an (x, y) pair")
+        if not 0.0 < self.kill_radius < math.inf:
+            raise ConfigError(f"kill_radius must be finite and > 0, got {self.kill_radius}")
+        if len(self.target) != 2 or not all(map(math.isfinite, self.target)):
+            raise ConfigError(f"target must be a finite (x, y) pair, got {self.target}")
+        for name in ("t", "x", "z"):
+            if not math.isfinite(getattr(self.entry, name)):
+                raise ConfigError(f"entry {name} must be finite, got {getattr(self.entry, name)}")
         if not self.entry.v > 0.0:
             raise ConfigError("entry speed must be > 0")
         if not self.entry.y > 0.0:
@@ -202,6 +208,8 @@ class RunResult:
 
 @dataclass(frozen=True)
 class BatchStatistics:
+    """Aggregates of one batch; ``summary.csv`` writes every field."""
+
     n: int                      # completed runs
     failures: int
     mean_error: float           # over runs that touched down; nan if none
@@ -212,7 +220,6 @@ class BatchStatistics:
     launches: int               # completed runs with at least one launch
     p_given_launch: float       # conditional on a launch; nan if none
     nav_time_mean: float
-    pairs: tuple                # (navigation_time, landing_error) per landed run
 
     def __post_init__(self):
         if not (math.isnan(self.p_intercept) or 0.0 <= self.p_intercept <= 1.0):
@@ -316,12 +323,12 @@ def _fly(scenario, rhs, control, command=None, after_step=None, stride=None) -> 
     touchdown, an early end, an abort or timeout.
 
     ``command(t, y)`` (default ``control``) is evaluated once per step and
-    held across it.  ``after_step(k, t, y, y_next)`` sees every step before
+    held across it.  ``after_step(t, y, y_next)`` sees every step before
     the touchdown check and ends the run by returning a result.  Touchdown
     is interpolated linearly inside the final step; an
     :class:`IntegrationAbort` or timeout becomes a failed result.  With
     ``stride`` set, the result carries (t, state, u) rows every ``stride``
-    steps plus the touchdown row.
+    steps plus the touchdown or timeout row, as ``integrate_until`` does.
     """
     if command is None:
         command = control
@@ -338,7 +345,7 @@ def _fly(scenario, rhs, control, command=None, after_step=None, stride=None) -> 
                 samples.append((t, y, u))
             y_next = rk4_step(rhs, t, y, u, dt)
             if after_step is not None:
-                ended = after_step(k, t, y, y_next)
+                ended = after_step(t, y, y_next)
                 if ended is not None:
                     return ended
             if y_next[1] <= 0.0 < y[1]:
@@ -353,7 +360,10 @@ def _fly(scenario, rhs, control, command=None, after_step=None, stride=None) -> 
             y = y_next
     except IntegrationAbort as abort:
         return _ended(control, abort.t, f"failed:{abort.reason}", failed=abort.reason)
-    return _ended(control, t0 + n_max * dt, "failed:timeout", failed="timeout")
+    if stride is not None:
+        samples.append((t0 + n_max * dt, y, u))
+    return _ended(control, t0 + n_max * dt, "failed:timeout", failed="timeout",
+                  samples=tuple(samples))
 
 
 def simulate_vehicle_run(
@@ -384,8 +394,9 @@ def _reach_table(spec: InterceptorSpec, env: AtmosphereModel) -> ReachTable:
 
 @lru_cache(maxsize=8)
 def _nominal_track(quiet: Scenario) -> tuple | RunResult:
-    """Noise-free (t, x, y) prediction used for launch planning, up to the
-    first point below ground (or the whole track on timeout).
+    """Noise-free (t, x, y) prediction used for launch planning: the step
+    loop's samples on the ``PLANNING_GRID``, ending with the touchdown (or
+    timeout) row.
 
     The track is the same for every run of a batch (the defender plans on
     the nominal atmosphere), so it is cached on the quieted scenario.  An
@@ -393,18 +404,12 @@ def _nominal_track(quiet: Scenario) -> tuple | RunResult:
     lru_cache keeps no exceptions, and every run of the batch would fly
     the descent again.
     """
-    t0 = quiet.entry.t
-    dt = quiet.integrator.dt
-    track = [(t0, quiet.entry.x, quiet.entry.y)]
-
-    def record(k, t, y, y_next):
-        track.append((t0 + (k + 1) * dt, y_next[0], y_next[1]))
-
     rhs = make_vehicle_rhs(quiet.vehicle, quiet.atmosphere, quiet.integrator.g)
-    result = _fly(quiet, rhs, _VehicleControl(quiet, None), after_step=record)
+    stride = max(1, round(PLANNING_GRID / quiet.integrator.dt))
+    result = _fly(quiet, rhs, _VehicleControl(quiet, None), stride=stride)
     if result.failed not in (None, "timeout"):
         return result
-    return tuple(track)
+    return tuple((t, y[0], y[1]) for t, y, _ in result.samples)
 
 
 class _Missile:
@@ -499,13 +504,8 @@ def simulate_engagement(scenario: Scenario, stream: GaussianStream | None = None
         return _ended(control, track.flight_time, f"failed:{track.failed}", failed=track.failed)
     missiles = []
     for site in scenario.sites:
-        spec = site.resolve_spec()
-        plan = launch_decision(
-            track[:: max(1, round(0.2 / dt))],  # 0.2 s planning grid
-            site.x,
-            spec,
-            _reach_table(spec, scenario.atmosphere),
-        )
+        reach = _reach_table(site.resolve_spec(), scenario.atmosphere)
+        plan = launch_decision(track, site.x, reach)
         if plan is not None:
             missiles.append(_Missile(site, plan, env, g))
     evasion = EvasionController(scenario.evasion, scenario.guidance.u_max, g)
@@ -520,7 +520,7 @@ def simulate_engagement(scenario: Scenario, stream: GaussianStream | None = None
         override = evasion.command(t, y[3], y[4], boost)
         return u if override is None else override
 
-    def after_step(k, t, y, y_next):
+    def after_step(t, y, y_next):
         hit = None
         for m in missiles:
             if m.state is None or m.done:
@@ -612,7 +612,6 @@ def summarize(results) -> BatchStatistics:
         launches=launched,
         p_given_launch=hits / launched if launched else math.nan,
         nav_time_mean=statistics.fmean(r.navigation_time for r in completed),
-        pairs=tuple((r.navigation_time, r.landing_error) for r in landed),
     )
 
 

@@ -57,7 +57,6 @@ class InterceptorSpec:
     t = 0; the integral of flow over the stages equals initial - burnout.
     """
 
-    name: str
     initial_mass: float
     burnout_mass: float
     stages: tuple
@@ -118,7 +117,6 @@ def type1_spec(thrust: float = TYPE1_THRUST, wing_area: float = TYPE1_WING_AREA)
     initial, burnout, flow = 959.0, 302.8, 50.0
     burn_time = (initial - burnout) / flow
     return InterceptorSpec(
-        name="type-1",
         initial_mass=initial,
         burnout_mass=burnout,
         stages=((0.0, burn_time, thrust, flow),),
@@ -143,7 +141,6 @@ def type2_spec(
         for (t0, t1), flow in zip(bounds, flows)
     )
     return InterceptorSpec(
-        name="type-2",
         initial_mass=initial,
         burnout_mass=burnout,
         stages=stages,
@@ -190,6 +187,8 @@ def pinned_pitch_profile(
     step has the bits of ``_rk4_generic``, which replays it on any error and
     so raises the RHS's :class:`DomainError`.
     """
+    if not (0.0 <= t_end < math.inf and 0.0 < dt < math.inf):
+        raise DomainError(f"need finite t_end >= 0 and dt > 0, got t_end={t_end}, dt={dt}")
     rhs = _generated_rhs("profile", env, spec.drag, wing_area=spec.wing_area, g=g,
                          sin_t=math.sin(theta), stages=spec.stages,
                          burnout_mass=spec.burnout_mass)
@@ -508,36 +507,34 @@ class ReachTable:
 
 
 class LaunchPlan(NamedTuple):
+    """Launch time and rail angle, the time of the planned intercept, and
+    the slack between them."""
+
     launch_time: float
     aim_angle: float
     intercept_time: float
-    intercept_x: float
-    intercept_y: float
-    zone: int
     margin: float  # available flight time minus required, s
 
 
 def launch_decision(
     prediction: Sequence,
     site_x: float,
-    spec: InterceptorSpec,
     reach: ReachTable,
     now: float = 0.0,
 ) -> LaunchPlan | None:
     """Earliest feasible intercept against a predicted track.
 
     prediction: time-ordered (t, x, y) samples of the target.  A point is
-    feasible when it lies in an engagement zone and the interceptor can
-    cover the slant range from the site in the time remaining.  Returns the
-    plan for the earliest feasible point, or None.
+    feasible when it lies in an engagement zone and the interceptor, whose
+    fly-out ``reach`` tabulates, can cover the slant range from the site in
+    the time remaining.  Returns the plan for the earliest feasible point,
+    or None.
     """
     for t, x, y in prediction:
         if t < now:
             continue
         dx = x - site_x
-        d = abs(dx)
-        zone = zone_classify(d, y)
-        if zone is None:
+        if zone_classify(abs(dx), y) is None:
             continue
         slant = math.hypot(dx, y)
         t_flight = reach.time_to(slant)
@@ -549,9 +546,6 @@ def launch_decision(
                 launch_time=launch_time,
                 aim_angle=math.atan2(y, dx),
                 intercept_time=t,
-                intercept_x=x,
-                intercept_y=y,
-                zone=zone,
                 margin=(t - now) - t_flight,
             )
     return None

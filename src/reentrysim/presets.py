@@ -151,11 +151,11 @@ def scenario_for_range(range_m: float, base: Scenario | None = None) -> Scenario
     return replace(base, **shaped)
 
 
-def named_scenario(name: str, base: Scenario | None = None) -> Scenario:
+def named_scenario(name: str) -> Scenario:
     if name not in NAMED_PRESETS:
         supported = ", ".join(sorted(NAMED_PRESETS))
         raise ConfigError(f"unknown preset {name!r}; shipped presets: {supported}")
-    return scenario_for_range(NAMED_PRESETS[name], base)
+    return scenario_for_range(NAMED_PRESETS[name])
 
 
 # Terminal-phase engagement geometry for the probability-vs-speed sweep:

@@ -133,6 +133,7 @@ def test_criterion_6_interceptor_calibration():
     assert time.perf_counter() - start < 5.0
 
 
+@pytest.mark.slow
 def test_criterion_7_monotone_statistical_trends():
     from reentrysim.engagement import probability_vs_speed_sweep, summarize, batch_run_results
 

@@ -658,9 +658,9 @@ def test_sampling_cadence_and_terminal_row():
 
 def test_state_vector_round_trip():
     s = VehicleState(t=3.0, x=1.0, y=2.0, z=0.5, v=100.0, theta=-0.1, w=0.02, n=1.5)
-    assert VehicleState.from_vector(3.0, s.as_vector()) == s
+    assert VehicleState(3.0, *s.as_vector()) == s
     i = InterceptorState(t=1.0, x=5.0, y=6.0, z=0.0, v=300.0, theta=1.0, w=0.0, n=2.0, mass=700.0)
-    assert InterceptorState.from_vector(1.0, i.as_vector()) == i
+    assert InterceptorState(1.0, *i.as_vector()) == i
 
 
 def test_specific_energy():

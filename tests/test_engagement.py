@@ -194,6 +194,23 @@ class TestVehicleRun:
         with pytest.raises(ConfigError, match="entry altitude must be > 0"):
             replace(sc, entry=replace(sc.entry, y=altitude))
 
+    @pytest.mark.parametrize("name", ["t", "x", "z"])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_entry_position_or_time_is_rejected(self, name, bad):
+        sc = scenario_for_range(615_000)
+        with pytest.raises(ConfigError, match=f"entry {name} must be finite"):
+            replace(sc, entry=replace(sc.entry, **{name: bad}))
+
+    @pytest.mark.parametrize("target", [(math.nan, 0.0), (615_000.0, math.inf)])
+    def test_non_finite_target_is_rejected(self, target):
+        with pytest.raises(ConfigError, match="target must be a finite"):
+            replace(scenario_for_range(615_000), target=target)
+
+    @pytest.mark.parametrize("radius", [math.inf, math.nan, 0.0])
+    def test_kill_radius_must_be_finite_and_positive(self, radius):
+        with pytest.raises(ConfigError, match="kill_radius must be finite and > 0"):
+            replace(terminal_engagement_scenario(1600.0, "type-1"), kill_radius=radius)
+
 
 def _hexed(rows):
     return [(t.hex(), tuple(v.hex() for v in y), u.hex()) for t, y, u in rows]
@@ -204,11 +221,11 @@ class TestStepLoop:
     ``dynamics.integrate_until`` on the same RHS and a fresh control."""
 
     @staticmethod
-    def _driver(sc):
+    def _driver(sc, sample_interval=None):
         rhs = dynamics.make_vehicle_rhs(sc.vehicle, sc.atmosphere, sc.integrator.g)
         return dynamics.integrate_until(
             rhs, engagement._VehicleControl(sc, None), sc.entry.t, sc.entry.as_vector(),
-            sc.integrator, sample_interval=sc.integrator.dt,
+            sc.integrator, sample_interval=sample_interval or sc.integrator.dt,
         )
 
     @pytest.mark.parametrize("rng", [615_000, 800_000, 950_000])
@@ -225,22 +242,22 @@ class TestStepLoop:
     def test_timeout_ends_where_the_driver_does(self):
         sc = scenario_for_range(615_000)
         short = replace(sc, integrator=replace(sc.integrator, t_max=5.0))
-        traj = self._driver(short)
-        r = simulate_vehicle_run(short)
+        traj = self._driver(short, sample_interval=1.0)
+        r = simulate_vehicle_run(short, sample_interval=1.0)
         assert traj.event == "timeout"
         assert r.failed == "timeout"
         assert r.flight_time == traj.event_t
         assert r.events[-1] == (traj.event_t, "failed:timeout")
+        assert _hexed(r.samples) == _hexed(traj.samples)  # timeout row included
 
-    def test_nominal_track_is_the_driver_track_plus_the_first_point_below_ground(self):
+    def test_nominal_track_is_the_driver_track_on_the_planning_grid(self):
         sc = terminal_engagement_scenario(700.0, "type-1")
         quiet = replace(sc, noise=NoiseConfig(), sites=(), runs=1, seed=0)
         track = engagement._nominal_track.__wrapped__(quiet)
-        traj = self._driver(quiet)
-        assert track[:-1] == tuple((t, y[0], y[1]) for t, y, _ in traj.samples[:-1])
-        t_last, _, y_last = track[-1]
-        assert y_last <= 0.0 < track[-2][2]
-        assert t_last == quiet.entry.t + traj.steps * quiet.integrator.dt
+        traj = self._driver(quiet, sample_interval=engagement.PLANNING_GRID)
+        assert traj.event == "ground"
+        # touchdown row included
+        assert track == tuple((p.t, p.y[0], p.y[1]) for p in traj.samples)
 
 
 class TestEngagement:
@@ -258,6 +275,11 @@ class TestEngagement:
     def test_unknown_kind_is_rejected(self):
         with pytest.raises(ConfigError, match="unknown interceptor kind 'type-3'"):
             InterceptorSite(x=21_000.0, kind="type-3")
+
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    def test_non_finite_site_position_is_rejected(self, x):
+        with pytest.raises(ConfigError, match="site x must be finite"):
+            InterceptorSite(x=x, kind="type-1")
 
     def test_unreachable_site_never_launches(self):
         sc = replace(

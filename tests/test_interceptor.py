@@ -212,6 +212,14 @@ class TestProfileKernel:
         with pytest.raises(DomainError, match="altitude"):
             readable_profile(T1, 1.0, 1.0, y0=y0)
 
+    @pytest.mark.parametrize("t_end, dt", [
+        (1.0, 0.0), (1.0, -0.02), (1.0, math.nan), (1.0, math.inf),
+        (math.nan, 0.02), (math.inf, 0.02), (-1.0, 0.02),
+    ])
+    def test_bad_step_arguments_raise(self, t_end, dt):
+        with pytest.raises(DomainError, match="need finite t_end >= 0 and dt > 0"):
+            pinned_pitch_profile(T1, 1.0, t_end, dt=dt)
+
 
 def _speed_at(prof, t):
     for a, b in zip(prof.points, prof.points[1:]):
@@ -391,7 +399,7 @@ class TestReachAndLaunch:
             t = k * 0.5
             prediction.append((t, 40_000.0 - 700.0 * t, 9_000.0 - 55.0 * t))
         site_x = 5_000.0
-        plan = launch_decision(prediction, site_x, T1, self.REACH)
+        plan = launch_decision(prediction, site_x, self.REACH)
         assert plan is not None
 
         def scan():
@@ -415,12 +423,12 @@ class TestReachAndLaunch:
 
     def test_no_plan_outside_the_zones(self):
         prediction = [(t, 400_000.0 - 500.0 * t, 60_000.0) for t in range(100)]
-        assert launch_decision(prediction, 5_000.0, T1, self.REACH) is None
-        assert launch_decision([], 5_000.0, T1, self.REACH) is None
+        assert launch_decision(prediction, 5_000.0, self.REACH) is None
+        assert launch_decision([], 5_000.0, self.REACH) is None
 
     def test_points_already_past_are_ignored(self):
         prediction = [(2.0, 6_000.0, 1_000.0), (40.0, 5_500.0, 900.0)]
-        plan = launch_decision(prediction, 5_000.0, T1, self.REACH, now=5.0)
+        plan = launch_decision(prediction, 5_000.0, self.REACH, now=5.0)
         assert plan is not None
         assert plan.intercept_time == 40.0
         assert plan.launch_time >= 5.0
@@ -430,7 +438,7 @@ class TestProportionalNavigation:
     def interceptor(self, v=800.0, theta=0.0):
         """A type-1 missile of the engagement loop, in flight at 5 km."""
         site = engagement.InterceptorSite(x=0.0, kind="type-1")
-        plan = LaunchPlan(0.0, theta, 0.0, 0.0, 0.0, 1, 0.0)
+        plan = LaunchPlan(0.0, theta, 0.0, 0.0)
         missile = engagement._Missile(site, plan, DEFAULT_ATMOSPHERE, G0)
         missile.state = (0.0, 5_000.0, 0.0, v, theta, 0.0, 0.0, 500.0)
         return missile

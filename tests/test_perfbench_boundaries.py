@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from reentrysim import engagement
+from reentrysim import dynamics, engagement
 from reentrysim.engagement import NoiseConfig
 from reentrysim.presets import scenario_for_range, terminal_engagement_scenario
 
@@ -86,6 +86,10 @@ def test_cold_cache_engagement_traces_the_nominal_flight(tmp_path):
     assert tracer.missing == []
     assert cold == warm
     assert run_steps > 0
-    track = engagement._nominal_track(quiet)
-    assert cold_steps == run_steps + len(track) - 1
+    rhs = dynamics.make_vehicle_rhs(quiet.vehicle, quiet.atmosphere, quiet.integrator.g)
+    nominal = dynamics.integrate_until(
+        rhs, engagement._VehicleControl(quiet, None), quiet.entry.t, quiet.entry.as_vector(),
+        quiet.integrator,
+    )
+    assert cold_steps == run_steps + nominal.steps
     assert tracer.metrics()["guidance.control.calls"] == cold_steps + run_steps
