@@ -253,14 +253,19 @@ def make_interceptor_rhs(spec, env: AtmosphereModel = DEFAULT_ATMOSPHERE, g: flo
 def rk4_step(rhs: Callable, t: float, y: tuple, u: float, dt: float) -> tuple:
     """One classical RK4 step with the command u held constant.
 
-    An RHS that carries a fused step (``rhs.rk4_step``: the RHS of
-    :func:`make_vehicle_rhs`, :func:`make_interceptor_rhs` and
-    :func:`~reentrysim.interceptor.pinned_pitch_profile`) takes it.  The
-    RHS and its step are generated together from one stage template and
-    compiled once per table set; the step inlines the RHS with the bits of
-    :func:`_rk4_generic`, which it replays on any error so that the abort
-    is the RHS's.  Any other RHS, a timer wrapped around a fused one
-    included, takes :func:`_rk4_generic`.
+    The one-shot public entry, and the step of :func:`integrate_until`
+    and :func:`~reentrysim.interceptor.pinned_pitch_profile`.  An RHS that
+    carries a fused step (``rhs.rk4_step``: the RHS of
+    :func:`make_vehicle_rhs`, :func:`make_interceptor_rhs` and the
+    profile's) takes it.  The RHS and its step are generated together from
+    one stage template and compiled once per table set; the step inlines
+    the RHS with the bits of :func:`_rk4_generic`, which it replays on any
+    error so that the abort is the RHS's.  Any other RHS, a timer wrapped
+    around a fused one included, takes :func:`_rk4_generic`.
+
+    The loops of ``engagement._fly`` and ``engagement._Missile`` bind
+    ``rhs.rk4_step`` once, before their first step, and fall back to this
+    function for an RHS without one.
     """
     fused = getattr(rhs, "rk4_step", None)
     if fused is not None:
@@ -495,12 +500,16 @@ def integrate_until(
     are predicates (name, fn(t, y) -> bool) checked on each post-step
     state without interpolation.
 
+    ``t0`` must be finite and below ``config.t_max``.
+
     This is the public driver, and the oracle that the Monte Carlo step
     loop (``engagement._fly``) is pinned to by test.  It stays separate
     because the benchmark's traced run times the steps at
     ``engagement.rk4_step``: a loop here would hide every production step
     from it until that span moves.
     """
+    if not -inf < t0 < config.t_max:
+        raise DomainError(f"t0 must be finite and < t_max ({config.t_max}), got {t0}")
     dt = config.dt
     interval = config.sample_interval if sample_interval is None else sample_interval
     stride = max(1, round(interval / dt))

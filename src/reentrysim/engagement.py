@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from multiprocessing import Pool
 from typing import NamedTuple
 
@@ -175,6 +175,9 @@ class Scenario:
         for name in ("t", "x", "z"):
             if not math.isfinite(getattr(self.entry, name)):
                 raise ConfigError(f"entry {name} must be finite, got {getattr(self.entry, name)}")
+        t_max = self.integrator.t_max
+        if not self.entry.t < t_max:
+            raise ConfigError(f"entry t must be < t_max ({t_max}), got {self.entry.t}")
         if not self.entry.v > 0.0:
             raise ConfigError("entry speed must be > 0")
         if not self.entry.y > 0.0:
@@ -322,16 +325,20 @@ def _fly(scenario, rhs, control, command=None, after_step=None, stride=None) -> 
     """The step loop of every flight: from the scenario entry until
     touchdown, an early end, an abort or timeout.
 
-    ``command(t, y)`` (default ``control``) is evaluated once per step and
-    held across it.  ``after_step(t, y, y_next)`` sees every step before
-    the touchdown check and ends the run by returning a result.  Touchdown
-    is interpolated linearly inside the final step; an
+    The step is bound once, before the loop: the RHS's fused
+    ``rhs.rk4_step``, or :func:`rk4_step` on the RHS when it has none (a
+    timer wrapped around it, say), looked up by this module's name when the
+    loop starts.  ``command(t, y)`` (default ``control``) is evaluated once
+    per step and held across it.  ``after_step(t, y, y_next)`` sees every
+    step before the touchdown check and ends the run by returning a result.
+    Touchdown is interpolated linearly inside the final step; an
     :class:`IntegrationAbort` or timeout becomes a failed result.  With
     ``stride`` set, the result carries (t, state, u) rows every ``stride``
     steps plus the touchdown or timeout row, as ``integrate_until`` does.
     """
     if command is None:
         command = control
+    step = getattr(rhs, "rk4_step", None) or partial(rk4_step, rhs)
     dt = scenario.integrator.dt
     t0 = scenario.entry.t
     n_max = max(1, math.ceil((scenario.integrator.t_max - t0) / dt - 1e-9))
@@ -343,7 +350,7 @@ def _fly(scenario, rhs, control, command=None, after_step=None, stride=None) -> 
             u = command(t, y)
             if stride is not None and k % stride == 0:
                 samples.append((t, y, u))
-            y_next = rk4_step(rhs, t, y, u, dt)
+            y_next = step(t, y, u, dt)
             if after_step is not None:
                 ended = after_step(t, y, y_next)
                 if ended is not None:
@@ -418,7 +425,8 @@ class _Missile:
         self.spec = site.resolve_spec()
         self.plan = plan
         self.site_x = site.x
-        self.rhs = make_interceptor_rhs(self.spec, env, g)
+        rhs = make_interceptor_rhs(self.spec, env, g)
+        self.step = getattr(rhs, "rk4_step", None) or partial(rk4_step, rhs)
         self.g = g
         self.state = None         # (x, y, z, v, theta, w, n, mass)
         self.launch_time = plan.launch_time
@@ -509,13 +517,15 @@ def simulate_engagement(scenario: Scenario, stream: GaussianStream | None = None
         if plan is not None:
             missiles.append(_Missile(site, plan, env, g))
     evasion = EvasionController(scenario.evasion, scenario.guidance.u_max, g)
+    evading = scenario.evasion.enabled
 
     def command(t, y):
         for m in missiles:
             if m.state is None and t >= m.launch_time:
                 m.launch()
                 events.append((t, f"launch:{m.kind}"))
-        boost = any(m.thrusting(t) for m in missiles)
+        # only an enabled controller reads the booster scan
+        boost = evading and any(m.thrusting(t) for m in missiles)
         u = control(t, y)
         override = evasion.command(t, y[3], y[4], boost)
         return u if override is None else override
@@ -527,7 +537,7 @@ def simulate_engagement(scenario: Scenario, stream: GaussianStream | None = None
                 continue
             s = m.state
             try:
-                s_next = rk4_step(m.rhs, t - m.launch_time, s, m.pn_command(y), dt)
+                s_next = m.step(t - m.launch_time, s, m.pn_command(y), dt)
             except IntegrationAbort as abort:
                 m.done = True
                 events.append((t, f"abort:{m.kind}:{abort.reason}"))

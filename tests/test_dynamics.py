@@ -629,6 +629,21 @@ def test_timeout_is_a_result_not_an_error():
     assert traj.event_t == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("t0", [math.inf, -math.inf, math.nan])
+def test_non_finite_start_time_is_rejected(t0):
+    rhs = make_vehicle_rhs(VehicleSpec())
+    with pytest.raises(DomainError, match="t0 must be finite and < t_max"):
+        integrate_until(rhs, lambda t, y: 0.0, t0, ENTRY.as_vector(), IntegratorConfig())
+
+
+@pytest.mark.parametrize("t0", [600.0, 1e9])
+def test_start_time_at_or_past_t_max_is_rejected(t0):
+    """Past the end the driver used to take one step and report a timeout."""
+    rhs = make_vehicle_rhs(VehicleSpec())
+    with pytest.raises(DomainError, match=r"t0 must be finite and < t_max \(600.0\)"):
+        integrate_until(rhs, lambda t, y: 0.0, t0, ENTRY.as_vector(), IntegratorConfig())
+
+
 def test_custom_stop_events():
     rhs = make_vehicle_rhs(VehicleSpec(), VACUUM)
     cfg = IntegratorConfig(dt=0.02, t_max=60.0)

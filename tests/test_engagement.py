@@ -1,6 +1,7 @@
 import math
 import pickle
 import statistics
+from collections import Counter
 from dataclasses import replace
 from unittest import mock
 
@@ -201,6 +202,13 @@ class TestVehicleRun:
         with pytest.raises(ConfigError, match=f"entry {name} must be finite"):
             replace(sc, entry=replace(sc.entry, **{name: bad}))
 
+    @pytest.mark.parametrize("t", [600.0, 1e9])
+    def test_entry_at_or_past_t_max_is_rejected(self, t):
+        """Such a run used to take one step and fail with a timeout."""
+        sc = scenario_for_range(615_000)
+        with pytest.raises(ConfigError, match=r"entry t must be < t_max \(600.0\)"):
+            replace(sc, entry=replace(sc.entry, t=t))
+
     @pytest.mark.parametrize("target", [(math.nan, 0.0), (615_000.0, math.inf)])
     def test_non_finite_target_is_rejected(self, target):
         with pytest.raises(ConfigError, match="target must be a finite"):
@@ -258,6 +266,44 @@ class TestStepLoop:
         assert traj.event == "ground"
         # touchdown row included
         assert track == tuple((p.t, p.y[0], p.y[1]) for p in traj.samples)
+
+    @pytest.mark.parametrize("scenario", [
+        replace(scenario_for_range(615_000), noise=CALIBRATED_NOISE, seed=11),
+        terminal_engagement_scenario(700.0, "type-1"),
+    ], ids=["calibrated-x615", "terminal-700-type-1"])
+    def test_bound_step_equals_the_dispatch_path(self, scenario):
+        """The loops bind each RHS's fused step once; an RHS without one (a
+        plain wrapper, as under the benchmark's timers) steps through
+        ``engagement.rk4_step`` every step, with the same bits."""
+        fly = simulate_engagement if scenario.sites else simulate_vehicle_run
+
+        def plain(make):
+            def make_plain(*args, **kwargs):
+                rhs = make(*args, **kwargs)
+
+                def wrapper(t, y, u):
+                    return rhs(t, y, u)
+
+                wrapper.made_by = make.__name__
+                return wrapper
+
+            return make_plain
+
+        with mock.patch.object(engagement, "rk4_step", wraps=dynamics.rk4_step) as dispatch:
+            bound = fly(scenario)
+            assert not dispatch.called
+            with mock.patch.object(engagement, "make_vehicle_rhs",
+                                   plain(dynamics.make_vehicle_rhs)), \
+                 mock.patch.object(engagement, "make_interceptor_rhs",
+                                   plain(dynamics.make_interceptor_rhs)):
+                dispatched = fly(scenario)
+        steps = Counter(args[0].made_by for args, _ in dispatch.call_args_list)
+        assert steps["make_vehicle_rhs"] > 500
+        if scenario.sites:
+            assert any(label.startswith("launch:") for _, label in bound.events)
+            assert steps["make_interceptor_rhs"] > 100
+        assert bound == dispatched
+        assert bound.events == dispatched.events
 
 
 class TestEngagement:
@@ -342,6 +388,26 @@ class TestEngagement:
         assert r.failed == simulate_vehicle_run(replace(sc, sites=())).failed
         assert r.failed == "speed below guard (1/v singular)"
         assert r.events[-1] == (r.flight_time, "failed:speed below guard (1/v singular)")
+
+    def test_booster_scan_runs_only_for_evasion(self):
+        """Only an enabled evasion controller reads whether a booster burns,
+        so without evasion no step scans the missiles."""
+        sc = terminal_engagement_scenario(700.0, "type-1")
+        thrusting = engagement._Missile.thrusting
+        calls = []
+
+        def spy(self, t):
+            calls.append(t)
+            return thrusting(self, t)
+
+        plain = simulate_engagement(sc)
+        with mock.patch.object(engagement._Missile, "thrusting", spy):
+            spied = simulate_engagement(sc)
+            assert not calls
+            simulate_engagement(replace(sc, evasion=replace(sc.evasion, enabled=True)))
+        assert calls
+        assert any(label.startswith("launch:") for _, label in plain.events)
+        assert spied == plain
 
     def test_evasion_degrades_the_intercept(self):
         base = replace(terminal_engagement_scenario(2000.0, "type-1"), runs=20, noise=CALIBRATED_NOISE)
