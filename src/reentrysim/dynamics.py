@@ -30,11 +30,13 @@ The interceptor adds thrust along the velocity vector and a mass equation:
     dmass/dt = -mass_flow(t)
 
 Integration is classical fixed-step RK4 with the command held constant
-across a step (zero-order hold).  ``integrate_until`` terminates on ground
-impact (touchdown state linearly interpolated inside the final step), on a
-caller-supplied stop event, or on timeout; timeout is a result, not an
-error.  A non-finite state or a speed below ``SPEED_GUARD`` aborts the run
-with :class:`~reentrysim.errors.IntegrationAbort`.
+across a step (zero-order hold), in one step loop, ``_drive``, behind the
+public ``integrate_until`` and every flight of ``engagement._fly``.  It
+ends on ground impact (touchdown state linearly interpolated inside the
+final step), on its caller's hook (a stop event, an intercept), or on
+timeout; timeout is a result, not an error.  A non-finite state or a speed
+below ``SPEED_GUARD`` aborts the run with
+:class:`~reentrysim.errors.IntegrationAbort`.
 
 The RHS of the step loops (vehicle, interceptor and the pinned-pitch
 profile) are generated, each with its fused RK4 step, from one stage
@@ -45,12 +47,14 @@ and ``interceptor_derivatives`` are the readable references they are pinned to.
 
 from __future__ import annotations
 
+import itertools
 import linecache
 import math
 import re
 import textwrap
 import zlib
 from dataclasses import dataclass, field
+from functools import partial
 from math import cos, exp, inf, isfinite, sin  # exp, isfinite: read by generated code
 from typing import Callable, NamedTuple, Sequence
 
@@ -253,19 +257,15 @@ def make_interceptor_rhs(spec, env: AtmosphereModel = DEFAULT_ATMOSPHERE, g: flo
 def rk4_step(rhs: Callable, t: float, y: tuple, u: float, dt: float) -> tuple:
     """One classical RK4 step with the command u held constant.
 
-    The one-shot public entry, and the step of :func:`integrate_until`
-    and :func:`~reentrysim.interceptor.pinned_pitch_profile`.  An RHS that
-    carries a fused step (``rhs.rk4_step``: the RHS of
+    The one-shot public entry, and the step of
+    :func:`~reentrysim.interceptor.pinned_pitch_profile`.  An RHS that
+    carries a fused step (``rhs.rk4_step``, generated with the RHS of
     :func:`make_vehicle_rhs`, :func:`make_interceptor_rhs` and the
-    profile's) takes it.  The RHS and its step are generated together from
-    one stage template and compiled once per table set; the step inlines
-    the RHS with the bits of :func:`_rk4_generic`, which it replays on any
-    error so that the abort is the RHS's.  Any other RHS, a timer wrapped
-    around a fused one included, takes :func:`_rk4_generic`.
-
-    The loops of ``engagement._fly`` and ``engagement._Missile`` bind
-    ``rhs.rk4_step`` once, before their first step, and fall back to this
-    function for an RHS without one.
+    profile's, with the bits of :func:`_rk4_generic`) takes it; any other
+    RHS, a timer wrapped around a fused one included, takes
+    :func:`_rk4_generic`.  :func:`integrate_until`, ``engagement._fly`` and
+    ``engagement._Missile`` bind ``rhs.rk4_step`` once, before the first
+    step, and fall back to this function for an RHS without one.
     """
     fused = getattr(rhs, "rk4_step", None)
     if fused is not None:
@@ -483,6 +483,48 @@ class Trajectory:
     steps: int
 
 
+def _drive(step, command, t0, y0, config, sample_interval=None, after_step=None) -> tuple:
+    """The one step loop: ``step(t, y, u, dt)`` from (t0, y0) with
+    ``command(t, y)`` held across each step, until ground impact (the
+    touchdown state interpolated linearly inside the final step), timeout,
+    or a value other than None from ``after_step(t, y, y_next)``, which sees
+    every step before the ground check.  An :class:`IntegrationAbort`
+    propagates.  Returns ``(end, t, y, samples, steps)``: ``end`` is
+    ``"ground"``, ``"timeout"`` or the hook's value, (t, y) the end state,
+    and ``samples`` the (t, y, u) rows every ``sample_interval`` (if set),
+    rounded to whole steps, plus the end row.
+    """
+    if sample_interval is not None and not 0.0 < sample_interval < inf:
+        raise DomainError(f"sample_interval must be finite and > 0, got {sample_interval}")
+    dt = config.dt
+    stride = 0 if sample_interval is None else max(1, round(sample_interval / dt))
+    n_max = max(1, math.ceil((config.t_max - t0) / dt - 1e-9))
+    y = tuple(y0)
+    samples = []
+    for k in range(n_max):
+        t = t0 + k * dt
+        u = command(t, y)
+        if stride and k % stride == 0:
+            samples.append((t, y, u))
+        y_next = step(t, y, u, dt)
+        if after_step is not None:
+            end = after_step(t, y, y_next)
+            if end is not None:
+                t, y = t0 + (k + 1) * dt, y_next
+                break
+        if y_next[1] <= 0.0 < y[1]:
+            frac = y[1] / (y[1] - y_next[1])
+            y = tuple(a + frac * (b - a) for a, b in zip(y, y_next))
+            end, t = "ground", t + frac * dt
+            break
+        y = y_next
+    else:
+        end, t = "timeout", t0 + n_max * dt
+    if stride:
+        samples.append((t, y, u))
+    return end, t, y, samples, k + 1
+
+
 def integrate_until(
     rhs: Callable,
     control_fn: Callable,
@@ -498,48 +540,27 @@ def integrate_until(
     Ground impact (altitude component crossing 0 from above) interpolates
     the touchdown state linearly inside the final step; custom stop events
     are predicates (name, fn(t, y) -> bool) checked on each post-step
-    state without interpolation.
+    state without interpolation, and ground impact wins a tie.
 
-    ``t0`` must be finite and below ``config.t_max``.
-
-    This is the public driver, and the oracle that the Monte Carlo step
-    loop (``engagement._fly``) is pinned to by test.  It stays separate
-    because the benchmark's traced run times the steps at
-    ``engagement.rk4_step``: a loop here would hide every production step
-    from it until that span moves.
+    ``t0`` must be finite and below ``config.t_max``.  The public front of
+    :func:`_drive`, the loop that every flight of ``engagement._fly`` also
+    steps through.
     """
     if not -inf < t0 < config.t_max:
         raise DomainError(f"t0 must be finite and < t_max ({config.t_max}), got {t0}")
-    dt = config.dt
-    interval = config.sample_interval if sample_interval is None else sample_interval
-    stride = max(1, round(interval / dt))
-    n_max = max(1, math.ceil((config.t_max - t0) / dt - 1e-9))
+    ticks = itertools.count(1)
 
-    y = tuple(y0)
-    samples = []
-    step = 0
-    while True:
-        t = t0 + step * dt
-        u = control_fn(t, y)
-        if step % stride == 0:
-            samples.append(TrajectoryPoint(t, y, u))
-        y_next = rk4_step(rhs, t, y, u, dt)
-        t_next = t0 + (step + 1) * dt
-        if y_next[1] <= 0.0 and y[1] > 0.0:
-            frac = y[1] / (y[1] - y_next[1])
-            y_td = tuple(a + frac * (b - a) for a, b in zip(y, y_next))
-            t_td = t + frac * dt
-            samples.append(TrajectoryPoint(t_td, y_td, u))
-            return Trajectory(tuple(samples), "ground", t_td, y_td, step + 1)
-        for name, predicate in stop_events:
-            if predicate(t_next, y_next):
-                samples.append(TrajectoryPoint(t_next, y_next, u))
-                return Trajectory(tuple(samples), name, t_next, y_next, step + 1)
-        step += 1
-        y = y_next
-        if step >= n_max:
-            samples.append(TrajectoryPoint(t_next, y_next, u))
-            return Trajectory(tuple(samples), "timeout", t_next, y_next, step)
+    def stop(t, y, y_next):
+        if y_next[1] <= 0.0 < y[1]:
+            return None  # ground impact wins a tie
+        t_next = t0 + next(ticks) * config.dt
+        return next((name for name, hit in stop_events if hit(t_next, y_next)), None)
+
+    step = getattr(rhs, "rk4_step", None) or partial(rk4_step, rhs)
+    interval = config.sample_interval if sample_interval is None else sample_interval
+    end, t, y, samples, steps = _drive(step, control_fn, t0, y0, config, interval,
+                                       stop if stop_events else None)
+    return Trajectory(tuple(map(TrajectoryPoint._make, samples)), end, t, y, steps)
 
 
 def specific_energy(y: float, v: float, g: float = G0) -> float:

@@ -7,10 +7,11 @@ count.  Three noise channels ride separate substreams per run (density
 multiplier, load-factor turbulence, seeker boresight), which keeps the
 draw sequences aligned across scenario variants sharing a seed.
 
-Every flight steps through one loop, ``_fly``: vehicle-only runs, the
-noise-free track that launch planning reads, and defended runs, which hook
-their launches and evasion into the command and their missiles into each
-step.
+Every flight steps through the one loop, ``dynamics._drive``, by way of
+``_fly``, which turns the loop's end into a run result: vehicle-only runs,
+the noise-free track that launch planning reads, and defended runs, which
+hook their launches and evasion into the command and their missiles into
+each step.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .dynamics import (
     IntegratorConfig,
     VehicleSpec,
     VehicleState,
+    _drive,
     make_interceptor_rhs,
     make_vehicle_rhs,
     rk4_step,
@@ -321,56 +323,28 @@ def _ended(control, t, label, touchdown=None, landing_error=math.nan, intercepte
                      tuple(control.events), failed, samples)
 
 
-def _fly(scenario, rhs, control, command=None, after_step=None, stride=None) -> RunResult:
-    """The step loop of every flight: from the scenario entry until
-    touchdown, an early end, an abort or timeout.
-
-    The step is bound once, before the loop: the RHS's fused
-    ``rhs.rk4_step``, or :func:`rk4_step` on the RHS when it has none (a
-    timer wrapped around it, say), looked up by this module's name when the
-    loop starts.  ``command(t, y)`` (default ``control``) is evaluated once
-    per step and held across it.  ``after_step(t, y, y_next)`` sees every
-    step before the touchdown check and ends the run by returning a result.
-    Touchdown is interpolated linearly inside the final step; an
-    :class:`IntegrationAbort` or timeout becomes a failed result.  With
-    ``stride`` set, the result carries (t, state, u) rows every ``stride``
-    steps plus the touchdown or timeout row, as ``integrate_until`` does.
+def _fly(scenario, rhs, control, command=None, after_step=None, sample_interval=None) -> RunResult:
+    """Fly the scenario through :func:`~reentrysim.dynamics._drive` and turn
+    its end into the run's result: touchdown, timeout, an abort, or the
+    result ``after_step`` ended the run with.  ``command`` defaults to
+    ``control``; with ``sample_interval`` set, the result carries the
+    loop's (t, state, u) rows.  The step is bound here: the RHS's fused
+    ``rhs.rk4_step``, or else this module's :func:`rk4_step` on the RHS
+    (a timer wrapped around it, say), the name the benchmark's trace wraps.
     """
-    if command is None:
-        command = control
     step = getattr(rhs, "rk4_step", None) or partial(rk4_step, rhs)
-    dt = scenario.integrator.dt
-    t0 = scenario.entry.t
-    n_max = max(1, math.ceil((scenario.integrator.t_max - t0) / dt - 1e-9))
-    y = scenario.entry.as_vector()
-    samples = []
     try:
-        for k in range(n_max):
-            t = t0 + k * dt
-            u = command(t, y)
-            if stride is not None and k % stride == 0:
-                samples.append((t, y, u))
-            y_next = step(t, y, u, dt)
-            if after_step is not None:
-                ended = after_step(t, y, y_next)
-                if ended is not None:
-                    return ended
-            if y_next[1] <= 0.0 < y[1]:
-                frac = y[1] / (y[1] - y_next[1])
-                y_td = tuple(a + frac * (b - a) for a, b in zip(y, y_next))
-                t_td = t + frac * dt
-                if stride is not None:
-                    samples.append((t_td, y_td, u))
-                err = math.hypot(y_td[0] - scenario.target[0], y_td[2])
-                return _ended(control, t_td, "touchdown", (y_td[0], y_td[2]), err,
-                              samples=tuple(samples))
-            y = y_next
+        end, t, y, samples, _ = _drive(
+            step, control if command is None else command, scenario.entry.t,
+            scenario.entry.as_vector(), scenario.integrator, sample_interval, after_step)
     except IntegrationAbort as abort:
         return _ended(control, abort.t, f"failed:{abort.reason}", failed=abort.reason)
-    if stride is not None:
-        samples.append((t0 + n_max * dt, y, u))
-    return _ended(control, t0 + n_max * dt, "failed:timeout", failed="timeout",
-                  samples=tuple(samples))
+    if isinstance(end, RunResult):
+        return end
+    if end == "ground":
+        err = math.hypot(y[0] - scenario.target[0], y[2])
+        return _ended(control, t, "touchdown", (y[0], y[2]), err, samples=tuple(samples))
+    return _ended(control, t, "failed:timeout", failed="timeout", samples=tuple(samples))
 
 
 def simulate_vehicle_run(
@@ -389,9 +363,7 @@ def simulate_vehicle_run(
         stream = GaussianStream(scenario.seed).substream(0)
     env = _run_atmosphere(scenario, stream)
     rhs = make_vehicle_rhs(scenario.vehicle, env, scenario.integrator.g)
-    dt = scenario.integrator.dt
-    stride = None if sample_interval is None else max(1, round(sample_interval / dt))
-    return _fly(scenario, rhs, _VehicleControl(scenario, stream), stride=stride)
+    return _fly(scenario, rhs, _VehicleControl(scenario, stream), sample_interval=sample_interval)
 
 
 @lru_cache(maxsize=16)
@@ -412,8 +384,7 @@ def _nominal_track(quiet: Scenario) -> tuple | RunResult:
     the descent again.
     """
     rhs = make_vehicle_rhs(quiet.vehicle, quiet.atmosphere, quiet.integrator.g)
-    stride = max(1, round(PLANNING_GRID / quiet.integrator.dt))
-    result = _fly(quiet, rhs, _VehicleControl(quiet, None), stride=stride)
+    result = _fly(quiet, rhs, _VehicleControl(quiet, None), sample_interval=PLANNING_GRID)
     if result.failed not in (None, "timeout"):
         return result
     return tuple((t, y[0], y[1]) for t, y, _ in result.samples)

@@ -132,6 +132,9 @@ def evasion_radius(
     terms; approximate drops them (valid near vertical flight, where both
     cosines vanish and the two forms coincide).
     """
+    args = (v_vehicle, v_interceptor, interceptor_turn_radius, theta_vehicle, theta_interceptor, g)
+    if not all(map(math.isfinite, args)):
+        raise DomainError(f"arguments must be finite, got {args}")
     if not (v_vehicle > 0.0 and v_interceptor > 0.0 and interceptor_turn_radius > 0.0):
         raise DomainError("speeds and turn radius must be > 0")
     denom = (
@@ -164,6 +167,8 @@ def hold_gain_from_turn(
     tan(A).  Gains outside the reference band [0.001, 0.01] 1/m are
     reported, not clamped.
     """
+    if not all(map(math.isfinite, (v, turn_radius, h_ref, y, g))):
+        raise DomainError(f"arguments must be finite, got {(v, turn_radius, h_ref, y, g)}")
     if not (v > 0.0 and turn_radius > 0.0):
         raise DomainError("speed and turn radius must be > 0")
     gap = h_ref - y

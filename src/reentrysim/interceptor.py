@@ -187,8 +187,9 @@ def pinned_pitch_profile(
     step has the bits of ``_rk4_generic``, which replays it on any error and
     so raises the RHS's :class:`DomainError`.
     """
-    if not (0.0 <= t_end < math.inf and 0.0 < dt < math.inf):
-        raise DomainError(f"need finite t_end >= 0 and dt > 0, got t_end={t_end}, dt={dt}")
+    if not (0.0 <= t_end < math.inf and 0.0 < dt < math.inf and math.isfinite(theta)):
+        raise DomainError(f"need finite t_end >= 0 and dt > 0 and a finite theta, "
+                          f"got t_end={t_end}, dt={dt}, theta={theta}")
     rhs = _generated_rhs("profile", env, spec.drag, wing_area=spec.wing_area, g=g,
                          sin_t=math.sin(theta), stages=spec.stages,
                          burnout_mass=spec.burnout_mass)

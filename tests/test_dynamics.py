@@ -1,6 +1,7 @@
 import math
 import traceback
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 from unittest import mock
 
@@ -23,6 +24,7 @@ from reentrysim.dynamics import (
     rk4_step,
     specific_energy,
     vehicle_derivatives,
+    _drive,
     _kernel_source,
     _rk4_generic,
 )
@@ -669,6 +671,69 @@ def test_sampling_cadence_and_terminal_row():
     times = [p.t for p in traj.samples]
     assert times[:5] == pytest.approx([0.0, 2.0, 4.0, 6.0, 8.0])
     assert times[-1] == pytest.approx(traj.event_t)
+
+
+@pytest.mark.parametrize("interval", [math.nan, math.inf, 0.0, -1.0])
+def test_bad_sample_interval_is_rejected(interval):
+    """It used to leak a raw ValueError (nan) or OverflowError (inf), or
+    sample every step (0.0, -1.0)."""
+    rhs = make_vehicle_rhs(VehicleSpec())
+    with pytest.raises(DomainError, match="sample_interval must be finite and > 0"):
+        integrate_until(rhs, lambda t, y: 0.0, 0.0, ENTRY.as_vector(), IntegratorConfig(),
+                        sample_interval=interval)
+
+
+class TestDrive:
+    """Precedence in the one step loop, on a constant sink of 100 m/s that
+    crosses the ground inside step 502 (t = 10.02 to 10.04 s)."""
+
+    cfg = IntegratorConfig(dt=0.02, t_max=60.0)
+    y0 = (0.0, 1003.0, 0.0, 500.0, -0.2, 0.0, 0.0)
+
+    @staticmethod
+    def sink(t, y, u):
+        return (120.0, -100.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+
+    def drive(self, t0=0.0, after_step=None):
+        return _drive(partial(rk4_step, self.sink), lambda t, y: 0.0, t0, self.y0, self.cfg,
+                      after_step=after_step)
+
+    def test_a_hook_ending_on_the_crossing_step_wins_over_touchdown(self):
+        """As a defended run's intercept on its last step does."""
+        end, t, y, samples, steps = self.drive()
+        assert (end, steps, samples) == ("ground", 502, [])
+        assert t == pytest.approx(10.03, abs=1e-9)
+
+        def hook(t, y, y_next):
+            return "hit" if y_next[1] <= 0.0 else None
+
+        end, t, y, samples, steps = self.drive(after_step=hook)
+        assert (end, steps) == ("hit", 502)
+        assert t.hex() == (502 * 0.02).hex()
+        assert y[1] < 0.0  # the post-step state, not interpolated
+
+    def test_ground_wins_over_a_stop_event_on_the_same_step(self):
+        low = ("low", lambda t, y: y[1] <= 0.0)
+        traj = integrate_until(self.sink, lambda t, y: 0.0, 0.0, self.y0, self.cfg,
+                               stop_events=(low,))
+        assert (traj.event, traj.steps) == ("ground", 502)
+        assert traj.event_y[1] == pytest.approx(0.0, abs=1e-9)
+
+    def test_stop_events_see_t0_plus_k_dt(self):
+        """Not t + dt, which differs in the last bit on about a quarter of
+        these steps."""
+        t0, dt, seen = 0.1, self.cfg.dt, []
+
+        def below(t, y):
+            seen.append(t)
+            return y[1] < 500.0
+
+        traj = integrate_until(self.sink, lambda t, y: 0.0, t0, self.y0, self.cfg,
+                               stop_events=(("below", below),), sample_interval=1.0)
+        assert traj.event == "below"
+        assert [t.hex() for t in seen] == [(t0 + k * dt).hex() for k in range(1, traj.steps + 1)]
+        assert traj.event_t.hex() == traj.samples[-1].t.hex() == (t0 + traj.steps * dt).hex()
+        assert traj.samples[-1].y == traj.event_y
 
 
 def test_state_vector_round_trip():

@@ -220,12 +220,20 @@ class TestVehicleRun:
             replace(terminal_engagement_scenario(1600.0, "type-1"), kill_radius=radius)
 
 
+    @pytest.mark.parametrize("interval", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_sample_interval_is_rejected(self, interval):
+        """It used to leak a raw ValueError (nan) or OverflowError (inf), or
+        sample every step (0.0, -1.0)."""
+        with pytest.raises(DomainError, match="sample_interval must be finite and > 0"):
+            simulate_vehicle_run(scenario_for_range(615_000), sample_interval=interval)
+
 def _hexed(rows):
     return [(t.hex(), tuple(v.hex() for v in y), u.hex()) for t, y, u in rows]
 
 
 class TestStepLoop:
-    """The one step loop, ``engagement._fly``, against the public driver
+    """The two callers of the one step loop, ``dynamics._drive``: the
+    production ``engagement._fly`` against the public driver
     ``dynamics.integrate_until`` on the same RHS and a fresh control."""
 
     @staticmethod

@@ -232,6 +232,19 @@ class TestEvasionRadius:
         with pytest.raises(DomainError):
             evasion_radius(2000.0, 1800.0, -1.0)
 
+    @pytest.mark.parametrize("args", [
+        (math.inf, 1600.0, 3000.0),
+        (1000.0, math.nan, 3000.0),
+        (1000.0, 1600.0, math.inf),
+        (1000.0, 1600.0, 3000.0, math.nan),
+        (1000.0, 1600.0, 3000.0, math.pi / 2.0, -math.inf),
+        (1000.0, 1600.0, 3000.0, math.pi / 2.0, math.pi / 2.0, math.nan),
+    ])
+    def test_non_finite_inputs_rejected(self, args):
+        """inf used to return (inf, inf), and a nan angle a nan exact radius."""
+        with pytest.raises(DomainError, match="must be finite"):
+            evasion_radius(*args)
+
 
 class TestHoldGain:
     def test_reference_value(self):
@@ -258,6 +271,18 @@ class TestHoldGain:
             hold_gain_from_turn(2000.0, 10_000.0, 33_000.0, 33_000.0)
         with pytest.raises(DomainError):
             hold_gain_from_turn(2000.0, 10_000.0, 30_000.0, 33_000.0)
+
+    @pytest.mark.parametrize("args", [
+        (math.nan, 1000.0, 35_000.0, 2.0),
+        (500.0, math.inf, 35_000.0, 2.0),
+        (500.0, 1000.0, math.inf, 2.0),
+        (500.0, 1000.0, 35_000.0, math.nan),
+        (500.0, 1000.0, 35_000.0, 2.0, math.inf),
+    ])
+    def test_non_finite_inputs_rejected(self, args):
+        """A nan depth used to give gain nan, an inf radius gain 0.0."""
+        with pytest.raises(DomainError, match="must be finite"):
+            hold_gain_from_turn(*args)
 
 
 class TestEvasionController:

@@ -220,6 +220,12 @@ class TestProfileKernel:
         with pytest.raises(DomainError, match="need finite t_end >= 0 and dt > 0"):
             pinned_pitch_profile(T1, 1.0, t_end, dt=dt)
 
+    @pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
+    def test_non_finite_pitch_raises(self, theta):
+        """inf used to leak math.sin's ValueError, nan to blame the altitude."""
+        with pytest.raises(DomainError, match="finite theta"):
+            pinned_pitch_profile(T1, theta, 1.0)
+
 
 def _speed_at(prof, t):
     for a, b in zip(prof.points, prof.points[1:]):
