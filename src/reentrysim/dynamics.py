@@ -7,19 +7,19 @@ State conventions (SI units, radians):
     z      lateral offset, m (positive left of the x axis)
     v      airspeed, m/s
     theta  flight-path angle, rad (positive climbing)
-    w      heading angle, rad (0 along +x; z grows when w < 0)
+    w      heading angle, rad (0 along +x, the only heading flown)
     n      realized normal load factor, g units
 
 The load factor follows its command through a first-order lag; gravity and
 drag act on speed; lift (n) acts only on the flight-path angle.  Flight is
-planar: there is no lateral load, so the heading w holds.
+planar: w is 0 (``Scenario`` rejects another entry heading) and z holds.
 
 Equations of motion, vehicle:
 
     dv/dt     = -cx(M) rho(y) v^2 S / (2 m) - g sin(theta)
     dtheta/dt = (g / v) (n - cos(theta))
-    dx/dt     = v cos(theta) cos(w)
-    dz/dt     = -v cos(theta) sin(w)
+    dx/dt     = v cos(theta)
+    dz/dt     = 0
     dy/dt     = v sin(theta)
     dn/dt     = (u - n) / lag_time
     dw/dt     = 0
@@ -176,9 +176,9 @@ def vehicle_derivatives(
     drag_acc = cx * rho * v * v * spec.wing_area / (2.0 * spec.mass)
     st, ct = sin(state.theta), cos(state.theta)
     return VehicleRates(
-        x=v * ct * cos(state.w),
+        x=v * ct,
         y=v * st,
-        z=-v * ct * sin(state.w),
+        z=0.0,
         v=-drag_acc - g * st,
         theta=(g / v) * (state.n - ct),
         w=0.0,
@@ -230,9 +230,9 @@ def interceptor_derivatives(
     drag = cx * rho * v * v * spec.wing_area / 2.0
     st, ct = sin(state.theta), cos(state.theta)
     return InterceptorRates(
-        x=v * ct * cos(state.w),
+        x=v * ct,
         y=v * st,
-        z=-v * ct * sin(state.w),
+        z=0.0,
         v=(thrust - drag) / state.mass - g * st,
         theta=(g / v) * (state.n - ct),
         w=0.0,

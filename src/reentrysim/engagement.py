@@ -177,6 +177,8 @@ class Scenario:
         for name in ("t", "x", "z"):
             if not math.isfinite(getattr(self.entry, name)):
                 raise ConfigError(f"entry {name} must be finite, got {getattr(self.entry, name)}")
+        if self.entry.w != 0.0:
+            raise ConfigError(f"flight is planar: entry heading w must be 0, got {self.entry.w}")
         t_max = self.integrator.t_max
         if not self.entry.t < t_max:
             raise ConfigError(f"entry t must be < t_max ({t_max}), got {self.entry.t}")

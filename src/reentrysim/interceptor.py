@@ -7,7 +7,10 @@ Propellant flows and masses are taken from the reference firing tables; the
 tables do not state thrust or drag area, so those are fitted by
 ``calibrate_type1`` / ``calibrate_type2`` against the tabulated speed
 history (peak speed at burnout, coast decay), and the fitted values are
-frozen here as the stock defaults.
+frozen here as the stock defaults.  Each fit solves a monotone residual by
+the Illinois variant of regula falsi (``_bisect``); the type-1 inner fit,
+which reads only the peak speed, flies its profiles only to the first grid
+point at or after burnout.
 
 Kill probability is tabulated as (P, H, D, V) rows: P was recorded at
 altitude H with the engagement crossing at distance D and target speed V.
@@ -210,29 +213,53 @@ def pinned_pitch_profile(
 
 
 def _bisect(f, lo: float, hi: float, tol: float) -> float:
-    """Root of f on [lo, hi] in at most 60 halvings; f(lo), f(hi) must bracket a sign change."""
-    f_lo, f_hi = f(lo), f(hi)
+    """Root of f on [lo, hi]; f(lo), f(hi) must bracket a sign change.
+
+    The Illinois variant of regula falsi (Dowell & Jarratt, BIT 11, 1971):
+    each point is the secant point of the bracket, or its midpoint when that
+    is not strictly inside; when the same end is kept twice, the other end's
+    residual is halved.  Stops when the residual is below ``tol``, the
+    bracket is narrower than 1e-12 relative, or after 60 points, and returns
+    the last point evaluated.  A non-finite residual raises ConfigError.
+    """
+    def residual(x):
+        r = f(x)
+        if not math.isfinite(r):
+            raise ConfigError(f"calibration residual is {r} at {x}")
+        return r
+
+    f_lo, f_hi = residual(lo), residual(hi)
     if f_lo == 0.0:
         return lo
     if f_hi == 0.0:
         return hi
     if (f_lo > 0.0) == (f_hi > 0.0):
         raise ConfigError(f"calibration target not bracketed on [{lo}, {hi}]")
+    kept = None  # the end kept by the last update
     for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        f_mid = f(mid)
-        if abs(f_mid) < tol or hi - lo < 1e-12 * max(1.0, abs(mid)):
-            return mid
-        if (f_mid > 0.0) == (f_lo > 0.0):
-            lo, f_lo = mid, f_mid
+        x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+        f_x = residual(x)
+        if abs(f_x) < tol or hi - lo < 1e-12 * max(1.0, abs(x)):
+            return x
+        if (f_x > 0.0) == (f_lo > 0.0):
+            lo, f_lo = x, f_x
+            if kept == "hi":
+                f_hi *= 0.5
+            kept = "hi"
         else:
-            hi, f_hi = mid, f_mid
-    return 0.5 * (lo + hi)
+            hi, f_hi = x, f_x
+            if kept == "lo":
+                f_lo *= 0.5
+            kept = "lo"
+    return x
 
 
 def _fit_peak(make_profile, bounds: tuple, v_peak_target: float) -> tuple:
     """(knob, profile) at the root of the peak-speed residual: the profile
-    the bisection flew last, flown again only if the root is another point."""
+    the solver flew last, flown again only if the root is an end of the
+    bracket that was not evaluated last."""
     last = {}
 
     def peak_residual(knob):
@@ -259,14 +286,22 @@ def _v_at(prof: FlightProfile, t: float) -> float:
 
 def _fit_profile(make_profile) -> CalibrationResult:
     """Nested fit to the type-1 targets: the thrust knob sets the peak speed
-    at fixed drag area (inner bisection), the drag area sets the post-peak
-    decay (outer)."""
-    fitted = {}  # area -> (knob, profile); the outer root is usually one of them
+    at fixed drag area (inner fit), the drag area sets the post-peak decay
+    (outer); ``make_profile(knob, area, t_end)`` flies one profile.
+
+    The inner fit reads only the peak, so its profiles stop at the first
+    grid point at or after burnout: past it no stage sees thrust and, at a
+    climbing pitch, drag and gravity both brake, so the speed falls
+    strictly.  The anchor residual reads the full profile, flown once per
+    drag area at its inner root."""
+    peak_end = math.ceil(STOCK_SPECS["type-1"].burn_time / PROFILE_DT) * PROFILE_DT
+    fitted = {}  # area -> (knob, full profile); the outer root is usually one of them
 
     def fit_knob(area):
         if area not in fitted:
-            fitted[area] = _fit_peak(lambda knob: make_profile(knob, area), (60_000.0, 500_000.0),
-                                     TYPE1_PEAK_SPEED)
+            knob = _bisect(lambda k: make_profile(k, area, peak_end).v_peak - TYPE1_PEAK_SPEED,
+                           60_000.0, 500_000.0, 1e-6)
+            fitted[area] = knob, make_profile(knob, area, TYPE1_ANCHOR_TIME + 1.0)
         return fitted[area]
 
     def anchor_residual(area):
@@ -279,9 +314,9 @@ def _fit_profile(make_profile) -> CalibrationResult:
 
 def calibrate_type1() -> CalibrationResult:
     """Fit type-1 thrust and drag area to the reference speed history."""
-    def make_profile(thrust, area):
+    def make_profile(thrust, area, t_end):
         return pinned_pitch_profile(type1_spec(thrust=thrust, wing_area=area),
-                                    TYPE1_CALIBRATION_PITCH, TYPE1_ANCHOR_TIME + 1.0)
+                                    TYPE1_CALIBRATION_PITCH, t_end)
 
     return _fit_profile(make_profile)
 

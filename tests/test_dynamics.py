@@ -123,6 +123,28 @@ def test_fast_rhs_matches_readable_interceptor_model():
             assert fast == pytest.approx(tuple(readable), rel=1e-12)
 
 
+@given(
+    y=st.floats(0.0, 90_000.0),
+    v=st.floats(50.0, 8000.0),
+    theta=st.floats(-3.1, 3.1),
+    z=st.floats(-1e4, 1e4),
+    w=st.floats(-math.pi, math.pi).filter(lambda w: w != 0.0),
+    n=st.floats(-10.0, 10.0),
+    u=st.floats(-10.0, 10.0),
+    t=st.floats(0.0, 40.0),
+)
+def test_kernels_match_the_references_at_any_heading(y, v, theta, z, w, n, u, t):
+    """Flight is planar: the references carry w and z through, as the
+    kernels do, so the two agree off the x axis too."""
+    s = VehicleState(t=t, x=0.0, y=y, z=z, v=v, theta=theta, w=w, n=n)
+    assert make_vehicle_rhs(VehicleSpec())(t, s.as_vector(), u) == pytest.approx(
+        tuple(vehicle_derivatives(s, u, VehicleSpec())), rel=1e-12)
+    spec = type1_spec()
+    s = InterceptorState(t=t, x=0.0, y=y, z=z, v=v, theta=theta, w=w, n=n, mass=spec.mass_at(t))
+    assert make_interceptor_rhs(spec)(t, s.as_vector(), u) == pytest.approx(
+        tuple(interceptor_derivatives(s, u, spec)), rel=1e-12)
+
+
 def test_rk4_exact_for_cubics():
     rhs = lambda t, y, u: (3.0 * t * t,)
     y = (0.0,)

@@ -202,6 +202,14 @@ class TestVehicleRun:
         with pytest.raises(ConfigError, match=f"entry {name} must be finite"):
             replace(sc, entry=replace(sc.entry, **{name: bad}))
 
+    @pytest.mark.parametrize("heading", [0.3, -1e-9, math.pi, math.nan])
+    def test_entry_heading_off_the_x_axis_is_rejected(self, heading):
+        """Flight is planar; such a heading used to fly as w = 0 without a word."""
+        sc = scenario_for_range(615_000)
+        with pytest.raises(ConfigError, match="entry heading w must be 0"):
+            replace(sc, entry=replace(sc.entry, w=heading))
+        assert replace(sc, entry=replace(sc.entry, w=-0.0)).entry.w == 0.0
+
     @pytest.mark.parametrize("t", [600.0, 1e9])
     def test_entry_at_or_past_t_max_is_rejected(self, t):
         """Such a run used to take one step and fail with a timeout."""

@@ -235,35 +235,142 @@ def _speed_at(prof, t):
     raise AssertionError(f"t={t} outside profile")
 
 
+class TestBisect:
+    """The Illinois regula falsi behind both calibrations."""
+
+    @staticmethod
+    def spy(f):
+        seen = []
+
+        def g(x):
+            seen.append(x)
+            return f(x)
+        return g, seen
+
+    @pytest.mark.parametrize("f, lo, hi", [
+        (lambda x: math.exp(x) - 2.0, 0.0, 3.0),
+        (lambda x: x ** 3 - 2.0, 0.0, 2.0),
+        (lambda x: math.atan(x - 0.3), -5.0, 5.0),
+        (lambda x: 0.5 - x ** 9, 0.0, 1.0),
+        (lambda x: math.tanh(20.0 * (x - 0.7)), 0.0, 1.0),
+        (lambda x: 1625.9 - 1e-3 * x - 1e-10 * x * x, 60_000.0, 2e6),
+    ], ids=["exp", "cubic", "atan", "ninth-power", "tanh", "quadratic"])
+    def test_smooth_monotone_roots_take_few_points(self, f, lo, hi):
+        g, seen = self.spy(f)
+        root = _bisect(g, lo, hi, 1e-9)
+        assert abs(f(root)) < 1e-9
+        assert len(seen) <= 16
+        assert root == seen[-1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(root=st.floats(-10.0, 10.0), slope=st.floats(0.01, 100.0),
+           cubic=st.floats(0.0, 10.0), sign=st.sampled_from([1.0, -1.0]))
+    def test_the_root_is_a_point_it_evaluated(self, root, slope, cubic, sign):
+        def f(x):
+            return sign * (slope * (x - root) + cubic * (x - root) ** 3)
+
+        g, seen = self.spy(f)
+        x = _bisect(g, -20.0, 20.0, 1e-6)
+        assert x in seen and x == seen[-1]
+        assert abs(f(x)) < 1e-6
+        assert len(seen) <= 30
+
+    def test_an_exact_zero_at_an_end_is_returned_as_is(self):
+        for lo, hi in ((0.5, 2.0), (-1.0, 0.5)):
+            g, seen = self.spy(lambda x: x - 0.5)
+            assert _bisect(g, lo, hi, 1e-12) == 0.5
+            assert seen == [lo, hi]
+
+    def test_an_unbracketed_interval_raises(self):
+        with pytest.raises(ConfigError, match="not bracketed"):
+            _bisect(lambda x: x * x + 1.0, -1.0, 1.0, 1e-9)
+
+    def test_a_step_stops_at_the_evaluation_cap(self):
+        """The residual never falls below tol and 60 points cannot narrow
+        the bracket to 1e-12: the last point is returned, without error."""
+        g, seen = self.spy(lambda x: -1.0 if x < 1.0 else 1.0)
+        x = _bisect(g, -1e300, 1e300, 1e-9)
+        assert len(seen) == 62
+        assert x == seen[-1]
+        assert abs(x - 1.0) < 0.01
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_residual_at_an_end_raises(self, bad):
+        """A nan end used to pass the bracket check and yield a root."""
+        with pytest.raises(ConfigError, match=f"residual is {bad} at 0"):
+            _bisect(lambda x: bad if x == 0.0 else x - 0.5, 0.0, 1.0, 1e-9)
+        with pytest.raises(ConfigError, match=f"residual is {bad} at 1"):
+            _bisect(lambda x: bad if x == 1.0 else x - 0.5, 0.0, 1.0, 1e-9)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_a_non_finite_residual_inside_raises(self, bad):
+        """A nan inside the bracket used to steer the search to a wrong root."""
+        with pytest.raises(ConfigError, match=f"residual is {bad} at 0.5"):
+            _bisect(lambda x: bad if 0.3 < x < 0.7 else x - 0.5, 0.0, 1.0, 1e-9)
+
+
 class TestCalibration:
     def test_nested_fit_reuses_the_inner_fit_of_the_outer_root(self):
-        """A smooth stand-in profile; the result must equal the plain
-        nested fit, without flying any (knob, area) pair twice."""
+        """A smooth stand-in profile that holds its anchor point only when
+        flown to the full window; the result must equal the plain nested fit
+        on full profiles, without flying any (knob, area, window) twice."""
         calls = []
 
-        def make_profile(knob, area):
-            calls.append((knob, area))
+        def make_profile(knob, area, t_end):
+            calls.append((knob, area, t_end))
             v_peak = knob / 100.0
             points = (ProfilePoint(0.0, v_peak, 0.0, 0.0, 0.0),
                       ProfilePoint(36.0, v_peak * math.exp(-area), 0.0, 0.0, 0.0))
-            return FlightProfile(points, v_peak, 12.0)
+            return FlightProfile(points if t_end > 36.0 else points[:1], v_peak, 12.0)
 
         def plain_fit():
             def fit_knob(area):
-                return _bisect(lambda k: make_profile(k, area).v_peak - 1625.9,
+                return _bisect(lambda k: make_profile(k, area, 37.0).v_peak - 1625.9,
                                60_000.0, 500_000.0, 1e-6)
 
-            area = _bisect(lambda a: make_profile(fit_knob(a), a).points[-1].v - 810.2,
+            area = _bisect(lambda a: make_profile(fit_knob(a), a, 37.0).points[-1].v - 810.2,
                            0.3, 3.0, 1e-6)
             knob = fit_knob(area)
-            prof = make_profile(knob, area)
+            prof = make_profile(knob, area, 37.0)
             return CalibrationResult(knob, area, prof.v_peak, prof.t_peak, prof.points[-1].v)
 
         fitted = _fit_profile(make_profile)
         assert len(calls) == len(set(calls))
+        full = [area for _knob, area, t_end in calls if t_end == 37.0]
+        assert sorted(full) == sorted({area for _knob, area, _t_end in calls})
+        assert {t_end for *_, t_end in calls} == {math.ceil(T1.burn_time / 0.02) * 0.02, 37.0}
         calls.clear()
         assert [value.hex() for value in fitted] == [value.hex() for value in plain_fit()]
         assert len(calls) > len(set(calls))
+
+    @pytest.mark.parametrize("calibrate, most", [(calibrate_type1, 120), (calibrate_type2, 16)])
+    def test_calibration_flies_few_profiles(self, calibrate, most):
+        """Type 1: the inner fits stop at burnout, and one full-length
+        profile is flown per drag area the outer fit tries."""
+        flown = []
+
+        def spy(spec, theta, t_end, *args, **kwargs):
+            flown.append((spec.wing_area, t_end))
+            return pinned_pitch_profile(spec, theta, t_end, *args, **kwargs)
+
+        with mock.patch.object(interceptor, "pinned_pitch_profile", spy):
+            calibrate()
+        assert len(flown) <= most
+        if calibrate is calibrate_type1:
+            full = [area for area, t_end in flown if t_end == 37.0]
+            assert len(full) == len(set(full)) == len({area for area, _ in flown})
+
+    @settings(max_examples=25, deadline=None)
+    @given(thrust=st.floats(60_000.0, 500_000.0), wing_area=st.floats(0.3, 3.0),
+           theta=st.floats(0.05, math.pi - 0.05))
+    @example(thrust=TYPE1_THRUST, wing_area=1.4126, theta=TYPE1_CALIBRATION_PITCH)
+    def test_a_profile_cut_after_burnout_keeps_its_peak(self, thrust, wing_area, theta):
+        """Past burnout, with sin(theta) > 0, drag and gravity both brake."""
+        spec = type1_spec(thrust=thrust, wing_area=wing_area)
+        cut = pinned_pitch_profile(spec, theta, math.ceil(spec.burn_time / 0.02) * 0.02)
+        full = pinned_pitch_profile(spec, theta, 37.0)
+        assert cut.points[-1].t >= spec.burn_time > cut.points[-2].t
+        assert (cut.v_peak.hex(), cut.t_peak.hex()) == (full.v_peak.hex(), full.t_peak.hex())
 
     def test_type1_fit_hits_both_anchors(self):
         cal = calibrate_type1()
