@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import csv
 import dataclasses
 import io
@@ -34,7 +35,7 @@ from .engagement import (
     simulate_vehicle_run,
     summarize,
 )
-from .errors import BatchError, ConfigError, DomainError
+from .errors import BatchError, ConfigError, DomainError, OutputError
 from .interceptor import calibrate_type1, calibrate_type2
 from .presets import NAMED_PRESETS, PRESET_RANGES, named_scenario
 
@@ -234,8 +235,18 @@ def _num(x) -> str:
     return repr(float(x))
 
 
+@contextlib.contextmanager
+def _output(path: str, newline=None):
+    """An output file open for writing; an OS failure on it is an OutputError."""
+    try:
+        with open(path, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
+    except OSError as err:
+        raise OutputError(f"cannot write outputs: {err}") from err
+
+
 def _write_csv(path: str, header, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _output(path, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -253,7 +264,7 @@ def _write_manifest(out_dir, command, outputs, scenario=None, extra=None) -> str
     if extra:
         manifest.update(extra)
     path = os.path.join(out_dir, "manifest.json")
-    with open(path, "w", encoding="utf-8") as fh:
+    with _output(path) as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path
@@ -428,7 +439,10 @@ def _load_scenario(args) -> Scenario:
 
 
 def _ensure_out(path: str) -> str:
-    os.makedirs(path, exist_ok=True)
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as err:
+        raise OutputError(f"cannot write outputs: {err}") from err
     return path
 
 
@@ -466,7 +480,7 @@ def main(argv=None) -> int:
         parser = _build_parser()
         args = parser.parse_args(argv)
         return _dispatch(args)
-    except (ConfigError, DomainError, BatchError) as err:
+    except (ConfigError, DomainError, BatchError, OutputError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

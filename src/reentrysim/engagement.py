@@ -17,13 +17,11 @@ each step.
 from __future__ import annotations
 
 import math
+import operator
 import statistics
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
-from multiprocessing import Pool
 from typing import NamedTuple
-
-import numpy as np
 
 from .atmosphere import DEFAULT_ATMOSPHERE, AtmosphereModel
 from .dynamics import (
@@ -64,41 +62,42 @@ class GaussianStream:
 
     Draws come from an explicit Box-Muller transform of uniform pairs, so
     the mapping from seed to sample sequence is pinned here rather than
-    inherited from library internals.  ``substream(i)`` derives the i-th
-    independent child; children nest, and the derivation depends only on
-    the root entropy and the index path.
+    inherited from library internals.  A stream is named by its key path:
+    the root entropy ``seed`` and the spawn key, the tuple of substream
+    indices that led to it.  ``substream(i)`` derives the i-th independent
+    child by extending the key; children nest.
 
-    Uniforms are drawn ``_BLOCK`` at a time and used in order.  On PCG64 a
-    block draw yields exactly the values of as many single ``random()``
-    calls, and children derive from the seed sequence, not from generator
-    state, so reading ahead changes no sample of this or any other stream.
+    The generator, PCG64 over ``SeedSequence(seed, spawn_key=key)``, is
+    built on the first draw, and numpy with it, so a stream that never
+    draws costs neither.  Uniforms are drawn ``_BLOCK`` at a time and used
+    in order.  On PCG64 a block draw yields exactly the values of as many
+    single ``random()`` calls, and children derive from the key, not from
+    generator state, so reading ahead changes no sample of this or any
+    other stream.
     """
 
     _BLOCK = 256
 
-    def __init__(self, seed):
-        if isinstance(seed, np.random.SeedSequence):
-            self._seq = seed
-        else:
-            self._seq = np.random.SeedSequence(int(seed))
-        self._gen = np.random.Generator(np.random.PCG64(self._seq))
+    def __init__(self, seed: int, spawn_key: tuple = ()):
+        self._entropy = _index("seed", seed)
+        self._key = spawn_key
+        self._gen = None  # built by the first _refill
         self._buf = []  # pending uniforms, next one last
 
     def _refill(self) -> None:
+        if self._gen is None:
+            from numpy.random import PCG64, Generator, SeedSequence
+
+            self._gen = Generator(PCG64(SeedSequence(self._entropy, spawn_key=self._key)))
         # the pending uniforms come first, so the new block goes underneath
         self._buf[:0] = reversed(self._gen.random(self._BLOCK).tolist())
 
     def substream(self, index: int) -> "GaussianStream":
-        if index < 0:
-            raise DomainError(f"substream index must be >= 0, got {index}")
-        key = tuple(self._seq.spawn_key) + (int(index),)
-        return GaussianStream(
-            np.random.SeedSequence(entropy=self._seq.entropy, spawn_key=key)
-        )
+        return GaussianStream(self._entropy, self._key + (_index("substream index", index),))
 
     def gaussian(self, mu: float = 0.0, sigma: float = 1.0) -> float:
-        if not sigma >= 0.0:
-            raise DomainError(f"sigma must be >= 0, got {sigma}")
+        if not 0.0 <= sigma < math.inf:
+            raise DomainError(f"sigma must be finite and >= 0, got {sigma}")
         if sigma == 0.0:
             return mu
         buf = self._buf
@@ -112,6 +111,18 @@ class GaussianStream:
         u2 = buf.pop()
         z = math.sqrt(-2.0 * math.log(u1)) * math.cos(_TWO_PI * u2)
         return mu + sigma * z
+
+
+def _index(name: str, value) -> int:
+    """``value`` as a non-negative int; a float or other non-integral
+    value is an error, not truncated."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+    if value < 0:
+        raise DomainError(f"{name} must be >= 0, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -166,6 +177,11 @@ class Scenario:
     kill_radius: float = 10.0  # m, closest approach below this is an intercept
 
     def __post_init__(self):
+        for name in ("seed", "runs"):  # stored as int, so the manifest can write them
+            try:
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
         if self.runs < 1:
             raise ConfigError(f"runs must be >= 1, got {self.runs}")
         if self.seed < 0:
@@ -551,10 +567,17 @@ def batch_run_results(scenario: Scenario, workers: int | None = None) -> tuple:
     """Per-run results for scenario.runs independent runs, in run order.
 
     Run i draws from substream i of the scenario seed, so the result
-    tuple is reproducible for any worker count.
+    tuple is reproducible for any worker count.  With more than one worker
+    and run, the runs fan out over a process pool; ``multiprocessing`` and
+    ``numpy.random`` load only then, in this process before it forks, so
+    every worker starts with the generator module a noisy run draws from.
     """
     jobs = [(scenario, i) for i in range(scenario.runs)]
     if workers is not None and workers > 1 and len(jobs) > 1:
+        from multiprocessing import Pool
+
+        import numpy.random  # noqa: F401  (the forked workers inherit it)
+
         with Pool(processes=min(workers, len(jobs))) as pool:
             results = pool.map(_run_indexed, jobs, chunksize=max(1, len(jobs) // (4 * workers)))
     else:

@@ -25,3 +25,7 @@ class IntegrationAbort(RuntimeError):
 
 class BatchError(RuntimeError):
     """Every run in a Monte Carlo batch failed."""
+
+
+class OutputError(OSError):
+    """An output directory or file could not be written."""

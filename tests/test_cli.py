@@ -1,11 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from reentrysim import engagement
 from reentrysim.cli import _KEYS, _cast, _get_path, dump_scenario, main, parse_scenario
 from reentrysim.engagement import _nominal_track
 from reentrysim.errors import ConfigError
@@ -214,7 +216,7 @@ class TestCommands:
 
     @pytest.mark.parametrize("workers", ["0", "-4"])
     def test_batch_rejects_fewer_than_one_worker(self, tmp_path, capsys, workers):
-        with mock.patch.object(engagement, "Pool") as pool:
+        with mock.patch("multiprocessing.Pool") as pool:
             assert main(["batch", "--scenario", "x615", "--n", "2", "--workers", workers,
                          "--out", str(tmp_path / "o")]) == 1
         assert f"error: --workers must be >= 1, got {workers}" in capsys.readouterr().err
@@ -284,9 +286,98 @@ class TestCommands:
         assert main(["fly", "--scenario", ini, "--out", str(tmp_path / "o")]) == 1
         assert "dt" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("blocked", ["out", "trajectory.csv", "manifest.json"])
+    def test_unwritable_outputs_are_reported(self, tmp_path, capsys, blocked):
+        """An --out that is a file, or an output name taken by a directory,
+        used to end in a traceback."""
+        out = tmp_path / "o"
+        if blocked == "out":
+            out.write_text("")
+        else:
+            (out / blocked).mkdir(parents=True)
+        assert main(["fly", "--scenario", "x615", "--out", str(out)]) == 1
+        assert "error: cannot write outputs: [Errno" in capsys.readouterr().err
+
     @pytest.mark.parametrize("how", ["flag", "file"])
     def test_negative_seed_is_a_config_error(self, tmp_path, capsys, how):
         ini = write(tmp_path / "s.ini", "[batch]\nseed = -5\n")
         args = ["--seed", "-1"] if how == "flag" else ["--scenario", ini]
         assert main(["batch", "--n", "2", "--out", str(tmp_path / "o")] + args) == 1
         assert "error: seed must be >= 0" in capsys.readouterr().err
+
+
+class TestColdStart:
+    """numpy loads on the first noise draw or pool fork, and the pool
+    machinery only to fork; each case runs in a fresh interpreter."""
+
+    NOISE_FREE_ENGAGE = (
+        "[batch]\npreset = x800\n\n[guidance]\nhold_altitude = 33000\n\n"
+        "[interceptors]\nsites = 776900:type-1, 790000:type-2\nkill_radius = 25\n"
+    )
+    NOISY_BATCH = (
+        "[batch]\npreset = x615\nruns = 2\n\n[noise]\nturbulence_sigma = 0.35\n"
+    )
+
+    @staticmethod
+    def _loaded_after(tmp_path, code: str) -> list:
+        """Run code in a fresh interpreter; the last line it prints, parsed."""
+        import reentrysim
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(reentrysim.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        script = "import json, sys\n" + code + (
+            "\nprint(json.dumps(sorted(m for m in ('numpy', 'multiprocessing') if m in sys.modules)))\n")
+        done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return json.loads(done.stdout.strip().splitlines()[-1])
+
+    @pytest.mark.parametrize("argv", [
+        ["fly", "--scenario", "x615"],
+        ["engage", "--scenario", "engage.ini"],
+        ["calibrate", "type2"],
+        ["dump", "--scenario", "x800"],
+    ], ids=lambda argv: argv[0])
+    def test_commands_without_noise_load_neither_numpy_nor_multiprocessing(self, tmp_path, argv):
+        write(tmp_path / "engage.ini", self.NOISE_FREE_ENGAGE)
+        code = f"from reentrysim.cli import main\nassert main({argv!r} + ['--out', 'o']) == 0"
+        if argv[0] == "dump":
+            code = f"from reentrysim.cli import main\nassert main({argv!r}) == 0"
+        assert self._loaded_after(tmp_path, code) == []
+
+    def test_a_noisy_batch_loads_numpy(self, tmp_path):
+        write(tmp_path / "noisy.ini", self.NOISY_BATCH)
+        code = ("from reentrysim.cli import main\n"
+                "assert main(['batch', '--scenario', 'noisy.ini', '--out', 'o']) == 0")
+        assert self._loaded_after(tmp_path, code) == ["numpy"]
+
+    def test_the_generator_module_is_loaded_before_the_pool_forks(self, tmp_path):
+        code = """
+import multiprocessing
+from dataclasses import replace
+from reentrysim.engagement import batch_run_results
+from reentrysim.presets import named_scenario
+
+class FakePool:
+    \"\"\"Records what is loaded when the pool is made; starts no process.\"\"\"
+    seen = []
+
+    def __init__(self, processes):
+        FakePool.seen.append('numpy.random' in sys.modules)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs, chunksize):
+        return [fn(job) for job in jobs]
+
+multiprocessing.Pool = FakePool
+assert 'numpy' not in sys.modules
+batch_run_results(replace(named_scenario('x615'), runs=2), workers=2)  # noise-free: no draw
+assert FakePool.seen == [True], FakePool.seen
+"""
+        assert self._loaded_after(tmp_path, code) == ["multiprocessing", "numpy"]

@@ -117,6 +117,34 @@ class TestGaussianStream:
         with pytest.raises(DomainError):
             s.substream(-1)
 
+    @pytest.mark.parametrize("make", [
+        lambda: GaussianStream(2.7),
+        lambda: GaussianStream(-1),
+        lambda: GaussianStream("3"),
+        lambda: GaussianStream(4).substream(1.5),
+    ], ids=["float seed", "negative seed", "str seed", "float index"])
+    def test_seeds_and_indices_must_be_non_negative_integers(self, make):
+        """A float seed or index used to be truncated (seed 2.7 drew what
+        seed 2 draws), and a negative seed failed only inside numpy."""
+        with pytest.raises(DomainError):
+            make()
+        assert GaussianStream(np.int64(4)).substream(np.int64(1)).gaussian() == (
+            GaussianStream(4).substream(1).gaussian())
+
+    @pytest.mark.parametrize("sigma", [math.inf, -math.inf])
+    def test_infinite_sigma_is_rejected(self, sigma):
+        """An infinite sigma used to return an infinite draw."""
+        with pytest.raises(DomainError, match="sigma must be finite"):
+            GaussianStream(0).gaussian(0.0, sigma)
+
+    def test_a_stream_that_never_draws_holds_no_generator(self):
+        root = GaussianStream(4)
+        child = root.substream(1).substream(2)
+        assert child.gaussian(1.0, 0.0) == 1.0  # a zero sigma draws nothing
+        assert root._gen is None and child._gen is None
+        child.gaussian()
+        assert child._gen is not None and root._gen is None
+
 
 class TestNoiseConfig:
     @pytest.mark.parametrize("name", ["seeker_angle_sigma", "atmosphere_density_sigma",
@@ -221,6 +249,19 @@ class TestVehicleRun:
     def test_non_finite_target_is_rejected(self, target):
         with pytest.raises(ConfigError, match="target must be a finite"):
             replace(scenario_for_range(615_000), target=target)
+
+    @pytest.mark.parametrize("name, bad", [("seed", 3.5), ("seed", "3"), ("runs", 2.5)])
+    def test_seed_and_runs_must_be_integers(self, name, bad):
+        """seed 3.5 used to run as seed 3, and runs 2.5 failed only when a
+        batch came to count its runs."""
+        with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+            replace(scenario_for_range(615_000), **{name: bad})
+
+    def test_integer_seed_and_runs_are_stored_as_int(self):
+        """A numpy seed used to pass and then fail the manifest's JSON write."""
+        sc = replace(scenario_for_range(615_000), seed=np.int64(3), runs=np.int32(2))
+        assert (type(sc.seed), type(sc.runs)) == (int, int)
+        assert (sc.seed, sc.runs) == (3, 2)
 
     @pytest.mark.parametrize("radius", [math.inf, math.nan, 0.0])
     def test_kill_radius_must_be_finite_and_positive(self, radius):
@@ -531,7 +572,7 @@ class TestBatch:
         pool = mock.MagicMock()
         pool_map = pool.return_value.__enter__.return_value.map
         pool_map.side_effect = lambda fn, jobs, chunksize: [fn(job) for job in jobs]
-        with mock.patch.object(engagement, "Pool", pool):
+        with mock.patch("multiprocessing.Pool", pool):
             pooled = batch_run_results(sc, workers=workers)
         pool.assert_called_once_with(processes=min(runs, workers))
         # the chunk size is the one the uncapped worker count gave
