@@ -20,6 +20,11 @@ coordinates: queries far from the recorded D/V of the interpolated row
 row's own coordinates returns its P exactly.  Targets faster than both the
 recorded speed and the 1500 m/s attenuation threshold scale P down by the
 tabulated speed-probability roll-off.
+
+Launch planning reads a ``ReachTable``, the time to fly a slant range on
+the pinned-pitch climb at ``REACH_ELEVATION``.  The table flies that climb
+only as far as its queries read, each step once, and answers as the climb
+flown in full to ``REACH_T_END`` would.
 """
 
 from __future__ import annotations
@@ -190,26 +195,30 @@ def pinned_pitch_profile(
     step has the bits of ``_rk4_generic``, which replays it on any error and
     so raises the RHS's :class:`DomainError`.
     """
-    if not (0.0 <= t_end < math.inf and 0.0 < dt < math.inf and math.isfinite(theta)):
-        raise DomainError(f"need finite t_end >= 0 and dt > 0 and a finite theta, "
-                          f"got t_end={t_end}, dt={dt}, theta={theta}")
+    if not (0.0 <= t_end < math.inf and 0.0 < dt < math.inf and math.isfinite(theta)
+            and 0.0 < g < math.inf and 0.0 <= y0 < math.inf):
+        raise DomainError(f"need finite t_end >= 0 and dt > 0, a finite theta, a finite "
+                          f"g > 0 and a finite launch altitude y0 >= 0, got t_end={t_end}, "
+                          f"dt={dt}, theta={theta}, g={g}, y0={y0}")
+    points = tuple(_profile_steps(spec, theta, t_end, env, g, dt, y0))
+    peak = max(points, key=lambda p: p.v)  # the first of equal peaks
+    return FlightProfile(points, peak.v, peak.t)
+
+
+def _profile_steps(spec: InterceptorSpec, theta: float, t_end: float,
+                   env: AtmosphereModel, g: float, dt: float, y0: float):
+    """The points of one pinned-pitch climb, launch first, one per step, up
+    to ``t_end`` or the first point on the ground or below 1 m/s."""
     rhs = _generated_rhs("profile", env, spec.drag, wing_area=spec.wing_area, g=g,
                          sin_t=math.sin(theta), stages=spec.stages,
                          burnout_mass=spec.burnout_mass)
     y = (spec.launch_speed, y0, spec.initial_mass, 0.0)
-    points = [ProfilePoint(0.0, y[0], y[1], y[2], y[3])]
-    v_peak, t_peak = y[0], 0.0
-    steps = round(t_end / dt)
-    for k in range(steps):
-        t = k * dt
-        y = rk4_step(rhs, t, y, 0.0, dt)
-        t_next = (k + 1) * dt
-        points.append(ProfilePoint(t_next, y[0], y[1], y[2], y[3]))
-        if y[0] > v_peak:
-            v_peak, t_peak = y[0], t_next
+    yield ProfilePoint(0.0, y[0], y[1], y[2], y[3])
+    for k in range(round(t_end / dt)):
+        y = rk4_step(rhs, k * dt, y, 0.0, dt)
+        yield ProfilePoint((k + 1) * dt, y[0], y[1], y[2], y[3])
         if y[1] <= 0.0 or y[0] < 1.0:
-            break
-    return FlightProfile(tuple(points), v_peak, t_peak)
+            return
 
 
 def _bisect(f, lo: float, hi: float, tol: float) -> float:
@@ -511,31 +520,51 @@ REACH_ELEVATION = 1.0  # rad, pitch of the reach profile
 REACH_T_END = 120.0    # s, longest fly-out the planner considers
 
 
-@dataclass(frozen=True)
 class ReachTable:
-    """Time to cover slant range along the flight path, from a pinned-pitch
-    climb profile."""
+    """Time to cover slant range along the flight path, from the pinned-pitch
+    climb at ``REACH_ELEVATION``, flown lazily.
 
-    times: tuple
-    path: tuple
+    ``times`` and ``path`` hold the prefix flown so far.  A query flies on
+    only until ``path`` passes its slant or the climb ends, and answers as
+    the fully flown table would wherever ``path`` is nondecreasing, as on
+    the stock climbs.  A climb the RHS cannot fly raises its DomainError
+    at every query that needs a point past the failing step.
+    """
+
+    def __init__(self, points):
+        self._points = points  # iterator over the ProfilePoints not yet flown
+        self._error = None     # the DomainError that ended the climb early
+        self.times = []
+        self.path = []
 
     @classmethod
     def build(cls, spec: InterceptorSpec,
               env: AtmosphereModel = DEFAULT_ATMOSPHERE) -> "ReachTable":
-        prof = pinned_pitch_profile(spec, REACH_ELEVATION, REACH_T_END, env)
-        return cls(
-            times=tuple(p.t for p in prof.points),
-            path=tuple(p.path for p in prof.points),
-        )
+        return cls(_profile_steps(spec, REACH_ELEVATION, REACH_T_END, env, G0, PROFILE_DT, 10.0))
 
     def time_to(self, slant: float) -> float | None:
         """First time the path length reaches ``slant``; None if never."""
+        if math.isnan(slant):
+            raise DomainError("slant range must not be NaN")
         if slant <= 0.0:
             return 0.0
-        i = bisect_right(self.path, slant)
-        if i >= len(self.path):
+        path = self.path
+        if not path or path[-1] <= slant:
+            if self._error is not None:
+                raise self._error
+            try:
+                for point in self._points:
+                    self.times.append(point.t)
+                    path.append(point.path)
+                    if point.path > slant:
+                        break
+            except DomainError as err:  # the climb ends here, for every later query too
+                self._error = err
+                raise
+        i = bisect_right(path, slant)
+        if i >= len(path):
             return None
-        s0, s1 = self.path[i - 1], self.path[i]
+        s0, s1 = path[i - 1], path[i]
         t0, t1 = self.times[i - 1], self.times[i]
         if s1 == s0:
             return t1

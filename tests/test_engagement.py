@@ -8,7 +8,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from reentrysim import dynamics, engagement
+from reentrysim import dynamics, engagement, interceptor
 from reentrysim.dynamics import IntegratorConfig
 from reentrysim.engagement import (
     GaussianStream,
@@ -498,6 +498,53 @@ class TestEngagement:
             return summarize(batch_run_results(sc)).p_intercept
 
         assert probability(675_000) < probability(950_000)
+
+
+# The README's defended x800 descent, noise-free: two launches, no kill.
+DEFENDED_X800 = replace(
+    scenario_for_range(800_000),
+    sites=(InterceptorSite(x=776_900.0, kind="type-1"), InterceptorSite(x=790_000.0, kind="type-2")),
+    kill_radius=25.0,
+)
+
+
+@pytest.fixture
+def cold_caches():
+    """Empty the launch-planning caches, as a fresh process has them."""
+    for cached in (engagement._nominal_track, engagement._reach_table):
+        cached.cache_clear()
+    yield
+    for cached in (engagement._nominal_track, engagement._reach_table):
+        cached.cache_clear()
+
+
+class TestLazyReachTables:
+    def test_planning_flies_only_the_reach_it_reads(self, cold_caches):
+        """Every reach step runs through interceptor.rk4_step; the two
+        tables' climbs are 6,000 steps each when flown in full."""
+        with mock.patch.object(interceptor, "rk4_step", wraps=interceptor.rk4_step) as step:
+            r = simulate_engagement(DEFENDED_X800)
+        assert sum(label.startswith("launch:") for _, label in r.events) == 2
+        tables = [engagement._reach_table(site.resolve_spec(), DEFENDED_X800.atmosphere)
+                  for site in DEFENDED_X800.sites]
+        assert step.call_count == sum(len(table.path) - 1 for table in tables)
+        assert step.call_count < 9_000
+
+    def test_forked_workers_fly_on_from_a_partly_flown_table(self, cold_caches):
+        def pickled(results):
+            # results from a worker arrive unpickled, their event labels no
+            # longer the strings that serial results share (the 'touchdown'
+            # label is the interned field name); a round trip per run puts
+            # both in one form and keeps every float bit
+            return [pickle.dumps(pickle.loads(pickle.dumps(r))) for r in results]
+
+        sc = replace(DEFENDED_X800, noise=CALIBRATED_NOISE, runs=4, seed=11)
+        cold = pickled(batch_run_results(sc))
+        engagement._reach_table.cache_clear()
+        for site in sc.sites:
+            engagement._reach_table(site.resolve_spec(), sc.atmosphere).time_to(5_000.0)
+        parallel = pickled(batch_run_results(sc, workers=2))
+        assert pickled(batch_run_results(sc, workers=1)) == parallel == cold
 
 
 class TestBatch:

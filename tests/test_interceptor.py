@@ -1,4 +1,7 @@
+import bisect
 import math
+import random
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -8,6 +11,7 @@ from reentrysim.atmosphere import DEFAULT_ATMOSPHERE
 from reentrysim.dynamics import G0, _rk4_generic
 from reentrysim import engagement, interceptor
 from reentrysim.errors import ConfigError, DomainError
+from reentrysim.presets import scenario_for_range
 from reentrysim.interceptor import (
     CalibrationResult,
     ENGAGEMENT_ZONES,
@@ -219,6 +223,15 @@ class TestProfileKernel:
     def test_bad_step_arguments_raise(self, t_end, dt):
         with pytest.raises(DomainError, match="need finite t_end >= 0 and dt > 0"):
             pinned_pitch_profile(T1, 1.0, t_end, dt=dt)
+
+    @pytest.mark.parametrize("g, y0", [
+        (0.0, 10.0), (-9.8, 10.0), (math.nan, 10.0), (math.inf, 10.0), (G0, -5.0),
+    ])
+    def test_bad_gravity_or_launch_altitude_raises(self, g, y0):
+        """g <= 0 used to fly, a non-finite g to blame the altitude, and a
+        negative y0 to launch underground."""
+        with pytest.raises(DomainError, match="finite g > 0 and a finite launch altitude y0 >= 0"):
+            pinned_pitch_profile(T1, 1.0, 5.0, g=g, y0=y0)
 
     @pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
     def test_non_finite_pitch_raises(self, theta):
@@ -505,6 +518,15 @@ class TestReachAndLaunch:
         assert self.REACH.time_to(0.0) == 0.0
         assert self.REACH.time_to(5e6) is None
 
+    def test_a_nan_slant_is_rejected(self):
+        """NaN used to read as out of reach."""
+        reach = ReachTable.build(T1)
+        with pytest.raises(DomainError, match="slant"):
+            reach.time_to(math.nan)
+        assert reach.time_to(math.inf) is None
+        assert reach.time_to(-1.0) == 0.0
+        assert reach.time_to(0.0) == 0.0
+
     def test_launch_decision_matches_a_direct_scan(self):
         # straight descent through zone 2 toward the site
         prediction = []
@@ -545,6 +567,85 @@ class TestReachAndLaunch:
         assert plan is not None
         assert plan.intercept_time == 40.0
         assert plan.launch_time >= 5.0
+
+
+def eager_time_to(times, path, slant):
+    """ReachTable.time_to over a fully flown climb, as the table once was built."""
+    if slant <= 0.0:
+        return 0.0
+    i = bisect.bisect_right(path, slant)
+    if i >= len(path):
+        return None
+    s0, s1 = path[i - 1], path[i]
+    t0, t1 = times[i - 1], times[i]
+    if s1 == s0:
+        return t1
+    return t0 + (t1 - t0) * (slant - s0) / (s1 - s0)
+
+
+DENSER = replace(DEFAULT_ATMOSPHERE, rho0=1.5 * DEFAULT_ATMOSPHERE.rho0)
+
+
+class TestLazyReach:
+    """The lazily flown reach table against the climb flown in full."""
+
+    @staticmethod
+    def _climb(spec, env):
+        prof = pinned_pitch_profile(spec, REACH_ELEVATION, REACH_T_END, env)
+        return [p.t for p in prof.points], [p.path for p in prof.points]
+
+    @pytest.mark.parametrize("env", [DEFAULT_ATMOSPHERE, DENSER], ids=["default", "denser"])
+    @pytest.mark.parametrize("spec", [T1, T2], ids=["type-1", "type-2"])
+    def test_the_flown_table_is_the_full_climb(self, spec, env):
+        times, path = self._climb(spec, env)  # the denser air stalls both climbs early
+        assert all(b >= a for a, b in zip(path, path[1:]))
+        reach = ReachTable.build(spec, env)
+        assert reach.time_to(math.inf) is None
+        assert [t.hex() for t in reach.times] == [t.hex() for t in times]
+        assert [s.hex() for s in reach.path] == [s.hex() for s in path]
+
+    @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+    @pytest.mark.parametrize("env", [DEFAULT_ATMOSPHERE, DENSER], ids=["default", "denser"])
+    @pytest.mark.parametrize("spec", [T1, T2], ids=["type-1", "type-2"])
+    def test_every_answer_is_the_eager_one(self, spec, env, order):
+        times, path = self._climb(spec, env)
+        # the points themselves, midpoints between them, and past the end
+        slants = [-1.0, 0.0] + path + [0.5 * (a + b) for a, b in zip(path, path[1:])]
+        slants += [path[-1] * (1.0 + k / 100.0) for k in range(1, 20)] + [math.inf]
+        slants.sort(reverse=order == "descending")
+        if order == "shuffled":
+            random.Random(7).shuffle(slants)
+        reach = ReachTable.build(spec, env)
+        for slant in slants:
+            got, want = reach.time_to(slant), eager_time_to(times, path, slant)
+            assert got == want, slant
+            if got is not None:
+                assert got.hex() == want.hex(), slant
+
+    @pytest.mark.parametrize("spec", [T1, T2], ids=["type-1", "type-2"])
+    def test_a_short_query_flies_a_short_prefix(self, spec):
+        reach = ReachTable.build(spec)
+        assert reach.time_to(10_000.0) is not None
+        assert reach.path[-2] <= 10_000.0 < reach.path[-1]
+        assert len(reach.path) < 1_000  # of 6,001 points in the full climb
+
+    def test_a_climb_that_cannot_fly_fails_every_query_past_it(self):
+        """Air this dense overflows the first step; the table built eagerly
+        raised at the build."""
+        reach = ReachTable.build(T1, replace(DEFAULT_ATMOSPHERE, rho0=1e306))
+        for _ in range(2):
+            with pytest.raises(DomainError, match="altitude must be finite"):
+                reach.time_to(100.0)
+        assert reach.path == [0.0]
+
+    def test_sites_sharing_one_table_plan_as_with_fresh_tables(self):
+        sc = scenario_for_range(800_000)
+        track = engagement._nominal_track(sc)
+        sites = (776_900.0, 783_000.0, 776_900.0, 770_000.0)
+        shared = ReachTable.build(T1)
+        plans = [launch_decision(track, x, shared) for x in sites]
+        assert plans == [launch_decision(track, x, ReachTable.build(T1)) for x in sites]
+        assert all(plan is not None for plan in plans)
 
 
 class TestProportionalNavigation:
