@@ -3,8 +3,9 @@
 Scenario files are INI documents with sections [atmosphere], [vehicle],
 [guidance], [interceptors], [noise] and [batch]; every key overrides one
 field of the resolved scenario, and unknown sections or keys are rejected
-with their location.  Each subcommand writes its tables into the output
-directory next to a ``manifest.json`` recording the fully resolved
+with their location.  Each subcommand returns its tables by file name and
+writes nothing; one dispatcher creates the output directory, writes the
+tables, and writes one ``manifest.json`` recording the fully resolved
 scenario, the tool version, the seed and the output names, so any run can
 be reproduced byte for byte.  All angles are radians and decimals use '.'
 throughout.
@@ -136,13 +137,9 @@ def _parse_sites(text: str) -> tuple:
     return tuple(sites)
 
 
-def _fmt(kind: str, value) -> str:
-    if kind == _SITES:
+def _fmt(value) -> str:
+    if isinstance(value, tuple):  # interceptor sites
         return ", ".join(f"{site.x!r}:{site.kind}" for site in value)
-    return _fmt_value(value)
-
-
-def _fmt_value(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
@@ -217,11 +214,11 @@ def dump_scenario(scenario: Scenario) -> str:
     not representable and are dropped; a site is its x and kind.
     """
     cp = configparser.ConfigParser(interpolation=None)
-    for section, key, kind, path in _KEYS:
+    for section, key, _kind, path in _KEYS:
         if not cp.has_section(section):
             cp.add_section(section)
         if path is not None:
-            cp.set(section, key, _fmt(kind, _get_path(scenario, path)))
+            cp.set(section, key, _fmt(_get_path(scenario, path)))
     buf = io.StringIO()
     cp.write(buf)
     return buf.getvalue()
@@ -236,38 +233,41 @@ def _num(x) -> str:
 
 
 @contextlib.contextmanager
-def _output(path: str, newline=None):
-    """An output file open for writing; an OS failure on it is an OutputError."""
+def _reported():
+    """An OS failure on the outputs is an OutputError."""
     try:
-        with open(path, "w", encoding="utf-8", newline=newline) as fh:
-            yield fh
+        yield
     except OSError as err:
         raise OutputError(f"cannot write outputs: {err}") from err
 
 
 def _write_csv(path: str, header, rows) -> None:
-    with _output(path, newline="") as fh:
+    with _reported(), open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
 
 
-def _write_manifest(out_dir, command, outputs, scenario=None, extra=None) -> str:
+def _write_manifest(args, outputs, scenario) -> str:
+    """Write the run's manifest.json into --out and return its path."""
     manifest = {
         "tool": "reentrysim",
         "version": __version__,
-        "command": command,
+        "command": f"sweep {args.kind}" if args.command == "sweep" else args.command,
         "outputs": sorted(outputs),
         "seed": None if scenario is None else scenario.seed,
         "scenario": None if scenario is None else dataclasses.asdict(scenario),
     }
-    if extra:
-        manifest.update(extra)
-    path = os.path.join(out_dir, "manifest.json")
-    with _output(path) as fh:
+    if args.command == "calibrate":
+        manifest["kind"] = args.kind
+    path = os.path.join(args.out, "manifest.json")
+    with _reported(), open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path
+
+
+_RUN_HEADER = ("seed", "error", "T_nav", "intercepted", "miss")
 
 
 def _run_row(scenario: Scenario, index: int, result) -> tuple:
@@ -281,118 +281,86 @@ def _run_row(scenario: Scenario, index: int, result) -> tuple:
 
 
 # --------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each takes the parsed arguments and the resolved scenario and
+# returns its tables as {file name: (header, rows)}, in write order.
 
 
-def cmd_fly(scenario: Scenario, out_dir: str) -> list:
+def cmd_fly(args, scenario: Scenario) -> dict:
     """Noise-free flight table: T, V, theta, X, H, U at the sampling cadence."""
     single = dataclasses.replace(scenario, noise=NoiseConfig(), sites=(), runs=1)
-    flight = simulate_vehicle_run(
-        single, sample_interval=scenario.integrator.sample_interval
-    )
+    flight = simulate_vehicle_run(single, sample_interval=scenario.integrator.sample_interval)
     if flight.failed is not None:
         raise BatchError(f"flight failed: {flight.failed}")
-    rows = []
-    for t, state, u in flight.samples:
-        x, y, _z, v, theta, _w, _n = state
-        rows.append(
-            (f"{t:.4f}", f"{v:.4f}", f"{theta:.6f}", f"{x:.4f}", f"{y:.4f}", f"{u:.4f}")
-        )
-    _write_csv(os.path.join(out_dir, "trajectory.csv"),
-               ("T", "V", "theta", "X", "H", "U"), rows)
-    return ["trajectory.csv"]
+    rows = [(f"{t:.4f}", f"{v:.4f}", f"{theta:.6f}", f"{x:.4f}", f"{y:.4f}", f"{u:.4f}")
+            for t, (x, y, _z, v, theta, _w, _n), u in flight.samples]
+    return {"trajectory.csv": (("T", "V", "theta", "X", "H", "U"), rows)}
 
 
-def cmd_engage(scenario: Scenario, out_dir: str) -> list:
+def cmd_engage(args, scenario: Scenario) -> dict:
     """Single engagement run: outcome row plus the event log."""
     result = simulate_engagement(scenario)
     if result.failed is not None:
         raise BatchError(f"engagement failed: {result.failed}")
-    _write_csv(os.path.join(out_dir, "engagement.csv"),
-               ("seed", "error", "T_nav", "intercepted", "miss"),
-               [_run_row(scenario, 0, result)])
-    _write_csv(os.path.join(out_dir, "events.csv"),
-               ("t", "event"),
-               [(_num(t), label) for t, label in result.events])
-    return ["engagement.csv", "events.csv"]
+    return {
+        "engagement.csv": (_RUN_HEADER, [_run_row(scenario, 0, result)]),
+        "events.csv": (("t", "event"), [(_num(t), label) for t, label in result.events]),
+    }
 
 
-def cmd_batch(scenario: Scenario, out_dir: str, workers=None) -> list:
+def cmd_batch(args, scenario: Scenario) -> dict:
     """Monte Carlo batch: per-run records plus a summary block."""
-    results = batch_run_results(scenario, workers=workers)
+    results = batch_run_results(scenario, workers=args.workers)
     stats = summarize(results)
-    _write_csv(os.path.join(out_dir, "runs.csv"),
-               ("seed", "error", "T_nav", "intercepted", "miss"),
-               [_run_row(scenario, i, r) for i, r in enumerate(results)])
-    _write_csv(os.path.join(out_dir, "summary.csv"),
-               ("statistic", "value"),
-               [(key, _fmt_value(value)) for key, value in dataclasses.asdict(stats).items()])
-    return ["runs.csv", "summary.csv"]
+    return {
+        "runs.csv": (_RUN_HEADER, [_run_row(scenario, i, r) for i, r in enumerate(results)]),
+        "summary.csv": (("statistic", "value"),
+                        [(key, _fmt(value)) for key, value in dataclasses.asdict(stats).items()]),
+    }
 
 
-def cmd_sweep(kind: str, scenario: Scenario, out_dir: str) -> list:
+def cmd_sweep(args, scenario: Scenario) -> dict:
     """Sweep tables: landing error over range, or intercept rate over speed."""
-    if kind == "error":
-        rows = error_vs_navigation_sweep(scenario, PRESET_RANGES)
-        name = "sweep_error.csv"
-        _write_csv(os.path.join(out_dir, name),
-                   ("X", "T_nav_mean", "max_error", "failed"),
-                   [(_num(r.x), _num(r.nav_time), _num(r.max_error), r.failed or "")
-                    for r in rows])
-    else:
-        rows = probability_vs_speed_sweep(scenario, SWEEP_SPEEDS)
-        name = "sweep_speed.csv"
-        _write_csv(os.path.join(out_dir, name),
-                   ("V", "p_type1", "p_type1_stderr", "p_type2", "p_type2_stderr"),
-                   [tuple(_num(v) for v in row) for row in rows])
-    return [name]
+    if args.kind == "error":
+        rows = [(_num(r.x), _num(r.nav_time), _num(r.max_error), r.failed or "")
+                for r in error_vs_navigation_sweep(scenario, PRESET_RANGES)]
+        return {"sweep_error.csv": (("X", "T_nav_mean", "max_error", "failed"), rows)}
+    rows = [tuple(map(_num, row)) for row in probability_vs_speed_sweep(scenario, SWEEP_SPEEDS)]
+    return {"sweep_speed.csv": (("V", "p_type1", "p_type1_stderr", "p_type2", "p_type2_stderr"),
+                                rows)}
 
 
-def cmd_calibrate(kind: str, out_dir: str) -> list:
-    """Fit an interceptor spec against its reference speed history."""
-    result = calibrate_type1() if kind == "type1" else calibrate_type2()
-    _write_csv(os.path.join(out_dir, "calibration.csv"),
-               result._fields,
-               [tuple(_num(v) for v in result)])
-    print(f"{kind}: fitted {result.thrust:.1f}, "
-          f"peak {result.v_peak:.1f} m/s at t = {result.t_peak:.2f} s")
-    return ["calibration.csv"]
+def cmd_calibrate(args, scenario) -> dict:
+    """Fit an interceptor spec against its reference speed history; no
+    scenario is read (``scenario`` is None)."""
+    result = calibrate_type1() if args.kind == "type1" else calibrate_type2()
+    return {"calibration.csv": (result._fields, [tuple(_num(v) for v in result)])}
 
 
 # --------------------------------------------------------------------------
 # Argument handling
 
 
-def _env(name: str, fallback=None):
-    return os.environ.get(ENV_PREFIX + name, fallback)
-
-
-def _env_number(name: str, cast):
-    raw = _env(name)
+def _env(name: str, cast=str, fallback=None):
+    """REENTRYSIM_<name> read through cast, or fallback when it is unset."""
+    raw = os.environ.get(ENV_PREFIX + name)
     if raw is None:
-        return None
+        return fallback
     try:
         return cast(raw)
     except ValueError as err:
         raise ConfigError(f"bad {ENV_PREFIX}{name}: {err}") from err
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    presets = "/".join(sorted(NAMED_PRESETS))
-    parser.add_argument(
-        "--scenario",
-        default=_env("SCENARIO"),
-        help=f"scenario file, or a built-in preset name ({presets}); "
-             f"default {DEFAULT_PRESET}",
-    )
-    parser.add_argument("--seed", type=int, default=_env_number("SEED", int),
-                        help="override the batch seed")
-    parser.add_argument("--n", type=int, default=_env_number("N", int),
-                        help="override the number of runs")
-    parser.add_argument("--dt", type=float, default=_env_number("DT", float),
-                        help="override the integration step (s)")
-    parser.add_argument("--out", default=_env("OUT", "."),
-                        help="output directory (created if missing)")
+# One row per subcommand, in --help order: (name, command, help, choices of
+# its positional kind).  dump has no command: it prints and writes nothing.
+_SUBCOMMANDS = (
+    ("fly", cmd_fly, "noise-free trajectory table for the scenario", None),
+    ("engage", cmd_engage, "one engagement run with the configured sites", None),
+    ("batch", cmd_batch, "Monte Carlo batch with per-run records and summary", None),
+    ("dump", None, "print the fully resolved scenario file", None),
+    ("sweep", cmd_sweep, "landing-error or intercept-rate sweep table", ("error", "speed")),
+    ("calibrate", cmd_calibrate, "fit an interceptor spec and report it", ("type1", "type2")),
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -403,83 +371,64 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"reentrysim {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    for name, text in (
-        ("fly", "noise-free trajectory table for the scenario"),
-        ("engage", "one engagement run with the configured sites"),
-        ("batch", "Monte Carlo batch with per-run records and summary"),
-        ("dump", "print the fully resolved scenario file"),
-    ):
+    presets = "/".join(sorted(NAMED_PRESETS))
+    for name, command, text, kinds in _SUBCOMMANDS:
         p = sub.add_parser(name, help=text)
-        _add_common(p)
+        p.set_defaults(run=command)
+        if kinds:
+            p.add_argument("kind", choices=kinds)
+        if name != "calibrate":  # calibrate fits the stock specs, no scenario
+            p.add_argument(
+                "--scenario",
+                default=_env("SCENARIO", str, DEFAULT_PRESET),
+                help=f"scenario file, or a built-in preset name ({presets}); "
+                     f"default {DEFAULT_PRESET}",
+            )
+            for flag, cast, what in (("seed", int, "the batch seed"),
+                                     ("n", int, "the number of runs"),
+                                     ("dt", float, "the integration step (s)")):
+                p.add_argument(f"--{flag}", type=cast, default=_env(flag.upper(), cast),
+                               help=f"override {what}")
+        p.add_argument("--out", default=_env("OUT", str, "."),
+                       help="output directory (created if missing)")
         if name == "batch":
             p.add_argument("--workers", type=int, default=None,
                            help="parallel worker processes")
-
-    p = sub.add_parser("sweep", help="landing-error or intercept-rate sweep table")
-    p.add_argument("kind", choices=("error", "speed"))
-    _add_common(p)
-
-    p = sub.add_parser("calibrate", help="fit an interceptor spec and report it")
-    p.add_argument("kind", choices=("type1", "type2"))
-    p.add_argument("--out", default=_env("OUT", "."),
-                   help="output directory (created if missing)")
     return parser
 
 
 def _load_scenario(args) -> Scenario:
-    if args.scenario is None:
-        scenario = named_scenario(DEFAULT_PRESET)
-    elif args.scenario in NAMED_PRESETS:
-        scenario = named_scenario(args.scenario)
-    else:
-        scenario = parse_scenario(args.scenario)
+    """The --scenario preset or file, with the --seed/--n/--dt overrides."""
+    scenario = (named_scenario(args.scenario) if args.scenario in NAMED_PRESETS
+                else parse_scenario(args.scenario))
     flags = {"seed": args.seed, "runs": args.n, "integrator.dt": args.dt}
     return _with_paths(scenario, {p: v for p, v in flags.items() if v is not None})
 
 
-def _ensure_out(path: str) -> str:
-    try:
-        os.makedirs(path, exist_ok=True)
-    except OSError as err:
-        raise OutputError(f"cannot write outputs: {err}") from err
-    return path
-
-
 def _dispatch(args) -> int:
-    if args.command == "calibrate":
-        out_dir = _ensure_out(args.out)
-        outputs = cmd_calibrate(args.kind, out_dir)
-        _write_manifest(out_dir, "calibrate", outputs, extra={"kind": args.kind})
-        return 0
-
-    scenario = _load_scenario(args)
+    """Run one subcommand, write its tables and the manifest into --out."""
+    scenario = None if args.command == "calibrate" else _load_scenario(args)
     if args.command == "dump":
         sys.stdout.write(dump_scenario(scenario))
         return 0
-
     if args.command == "batch" and args.workers is not None and args.workers < 1:
         raise ConfigError(f"--workers must be >= 1, got {args.workers}")
-    out_dir = _ensure_out(args.out)
-    if args.command == "fly":
-        outputs = cmd_fly(scenario, out_dir)
-    elif args.command == "engage":
-        outputs = cmd_engage(scenario, out_dir)
-    elif args.command == "batch":
-        outputs = cmd_batch(scenario, out_dir, workers=args.workers)
-    else:
-        outputs = cmd_sweep(args.kind, scenario, out_dir)
-        _write_manifest(out_dir, f"sweep {args.kind}", outputs, scenario)
-        return 0
-    _write_manifest(out_dir, args.command, outputs, scenario)
+    with _reported():
+        os.makedirs(args.out, exist_ok=True)
+    tables = args.run(args, scenario)
+    for name, (header, rows) in tables.items():
+        _write_csv(os.path.join(args.out, name), header, rows)
+    _write_manifest(args, tables, scenario)
+    if args.command == "calibrate":  # reported once its table is on disk
+        thrust, _, v_peak, t_peak, _ = map(float, tables["calibration.csv"][1][0])
+        print(f"{args.kind}: fitted {thrust:.1f}, "
+              f"peak {v_peak:.1f} m/s at t = {t_peak:.2f} s")
     return 0
 
 
 def main(argv=None) -> int:
     try:
-        parser = _build_parser()
-        args = parser.parse_args(argv)
-        return _dispatch(args)
+        return _dispatch(_build_parser().parse_args(argv))
     except (ConfigError, DomainError, BatchError, OutputError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

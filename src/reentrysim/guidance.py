@@ -95,10 +95,10 @@ class EvasionConfig:
     dwell: float = 3.0                       # s per turn before the sign flips
 
     def __post_init__(self):
-        if not self.interceptor_turn_radius > 0.0:
-            raise ConfigError("interceptor_turn_radius must be > 0")
-        if not self.interceptor_speed > 0.0:
-            raise ConfigError("interceptor_speed must be > 0")
+        if not 0.0 < self.interceptor_turn_radius < math.inf:
+            raise ConfigError("interceptor_turn_radius must be finite and > 0")
+        if not 0.0 < self.interceptor_speed < math.inf:
+            raise ConfigError("interceptor_speed must be finite and > 0")
         if not self.dwell > 0.0:
             raise ConfigError("dwell must be > 0")
 

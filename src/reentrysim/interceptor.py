@@ -29,6 +29,7 @@ flown in full to ``REACH_T_END`` would.
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -265,21 +266,6 @@ def _bisect(f, lo: float, hi: float, tol: float) -> float:
     return x
 
 
-def _fit_peak(make_profile, bounds: tuple, v_peak_target: float) -> tuple:
-    """(knob, profile) at the root of the peak-speed residual: the profile
-    the solver flew last, flown again only if the root is an end of the
-    bracket that was not evaluated last."""
-    last = {}
-
-    def peak_residual(knob):
-        last.clear()
-        last[knob] = make_profile(knob)
-        return last[knob].v_peak - v_peak_target
-
-    knob = _bisect(peak_residual, bounds[0], bounds[1], 1e-6)
-    return knob, last[knob] if knob in last else make_profile(knob)
-
-
 class CalibrationResult(NamedTuple):
     thrust: float
     wing_area: float
@@ -304,14 +290,12 @@ def _fit_profile(make_profile) -> CalibrationResult:
     strictly.  The anchor residual reads the full profile, flown once per
     drag area at its inner root."""
     peak_end = math.ceil(STOCK_SPECS["type-1"].burn_time / PROFILE_DT) * PROFILE_DT
-    fitted = {}  # area -> (knob, full profile); the outer root is usually one of them
 
+    @functools.cache  # the outer root is usually an area already fitted
     def fit_knob(area):
-        if area not in fitted:
-            knob = _bisect(lambda k: make_profile(k, area, peak_end).v_peak - TYPE1_PEAK_SPEED,
-                           60_000.0, 500_000.0, 1e-6)
-            fitted[area] = knob, make_profile(knob, area, TYPE1_ANCHOR_TIME + 1.0)
-        return fitted[area]
+        knob = _bisect(lambda k: make_profile(k, area, peak_end).v_peak - TYPE1_PEAK_SPEED,
+                       60_000.0, 500_000.0, 1e-6)
+        return knob, make_profile(knob, area, TYPE1_ANCHOR_TIME + 1.0)
 
     def anchor_residual(area):
         return _v_at(fit_knob(area)[1], TYPE1_ANCHOR_TIME) - TYPE1_ANCHOR_SPEED
@@ -341,11 +325,13 @@ def calibrate_type2() -> CalibrationResult:
     cross-section and only the impulse is fitted. The speed at
     ``TYPE2_REPORT_TIME`` is reported for inspection, not matched.
     """
+    @functools.lru_cache(maxsize=1)  # the root is usually the last point flown
     def make_profile(isp):
         return pinned_pitch_profile(type2_spec(specific_impulse=isp, wing_area=TYPE2_WING_AREA),
                                     TYPE2_CALIBRATION_PITCH, TYPE2_REPORT_TIME + 1.0)
 
-    isp, prof = _fit_peak(make_profile, (60.0, 500.0), TYPE2_PEAK_SPEED)
+    isp = _bisect(lambda k: make_profile(k).v_peak - TYPE2_PEAK_SPEED, 60.0, 500.0, 1e-6)
+    prof = make_profile(isp)
     return CalibrationResult(isp, TYPE2_WING_AREA, prof.v_peak, prof.t_peak,
                              _v_at(prof, TYPE2_REPORT_TIME))
 

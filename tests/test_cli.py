@@ -306,6 +306,52 @@ class TestCommands:
         assert "error: seed must be >= 0" in capsys.readouterr().err
 
 
+class TestManifest:
+    """One writer writes every command's manifest, from the tables written."""
+
+    @pytest.mark.parametrize("argv, command, outputs", [
+        (["fly", "--scenario", "x950", "--seed", "5"], "fly", ["trajectory.csv"]),
+        (["engage", "--scenario", "sited.ini", "--seed", "5"], "engage",
+         ["engagement.csv", "events.csv"]),
+        (["batch", "--n", "2", "--seed", "5"], "batch", ["runs.csv", "summary.csv"]),
+        (["sweep", "error", "--n", "1", "--seed", "5"], "sweep error", ["sweep_error.csv"]),
+        (["sweep", "speed", "--n", "1", "--seed", "5"], "sweep speed", ["sweep_speed.csv"]),
+        (["calibrate", "type2"], "calibrate", ["calibration.csv"]),
+    ])
+    def test_manifest_lists_exactly_the_tables_written(self, tmp_path, capsys, monkeypatch,
+                                                       argv, command, outputs):
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path / "sited.ini", "[interceptors]\nsites = 300000\n")
+        out = tmp_path / "o"
+        assert main(argv + ["--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == command
+        assert manifest["outputs"] == outputs
+        assert sorted(p.name for p in out.iterdir() if p.name != "manifest.json") == outputs
+        if command != "calibrate":
+            assert manifest["seed"] == 5 == manifest["scenario"]["seed"]
+            assert "kind" not in manifest
+        else:
+            assert manifest["seed"] is None and manifest["scenario"] is None
+            assert manifest["kind"] == "type2"
+            assert capsys.readouterr().out.startswith("type2: fitted ")
+
+    def test_dump_ignores_out(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert main(["dump", "--scenario", "x950", "--out", str(out)]) == 0
+        assert capsys.readouterr().out.startswith("[atmosphere]")
+        assert not out.exists()
+
+    def test_blocked_calibration_table_prints_no_fit(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        (out / "calibration.csv").mkdir(parents=True)
+        assert main(["calibrate", "type2", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot write outputs: [Errno")
+        assert not (out / "manifest.json").exists()
+
+
 class TestColdStart:
     """numpy loads on the first noise draw or pool fork, and the pool
     machinery only to fork; each case runs in a fresh interpreter."""

@@ -36,6 +36,16 @@ from reentrysim.presets import (
 )
 
 
+def run_pickles(results) -> list:
+    """Each run pickled after a round trip, to compare pooled with serial
+    results: nan fields defeat ==, and results from a worker arrive
+    unpickled, their event labels no longer the strings that serial results
+    share (the 'touchdown' label is the interned field name), so a whole
+    batch's pickle differs; a round trip per run puts both in one form and
+    keeps every float bit."""
+    return [pickle.dumps(pickle.loads(pickle.dumps(r))) for r in results]
+
+
 class TestGaussianStream:
     def test_zero_sigma_returns_the_mean(self):
         s = GaussianStream(3)
@@ -531,20 +541,13 @@ class TestLazyReachTables:
         assert step.call_count < 9_000
 
     def test_forked_workers_fly_on_from_a_partly_flown_table(self, cold_caches):
-        def pickled(results):
-            # results from a worker arrive unpickled, their event labels no
-            # longer the strings that serial results share (the 'touchdown'
-            # label is the interned field name); a round trip per run puts
-            # both in one form and keeps every float bit
-            return [pickle.dumps(pickle.loads(pickle.dumps(r))) for r in results]
-
         sc = replace(DEFENDED_X800, noise=CALIBRATED_NOISE, runs=4, seed=11)
-        cold = pickled(batch_run_results(sc))
+        cold = run_pickles(batch_run_results(sc))
         engagement._reach_table.cache_clear()
         for site in sc.sites:
             engagement._reach_table(site.resolve_spec(), sc.atmosphere).time_to(5_000.0)
-        parallel = pickled(batch_run_results(sc, workers=2))
-        assert pickled(batch_run_results(sc, workers=1)) == parallel == cold
+        parallel = run_pickles(batch_run_results(sc, workers=2))
+        assert run_pickles(batch_run_results(sc, workers=1)) == parallel == cold
 
 
 class TestBatch:
@@ -603,15 +606,17 @@ class TestBatch:
         assert pickle.dumps(fused) == pickle.dumps(reference)
 
     def test_parallel_equals_serial(self):
-        sc = replace(
-            terminal_engagement_scenario(1400.0, "type-2"),
-            runs=6, seed=3, noise=CALIBRATED_NOISE,
-        )
-        serial = batch_run_results(sc)
-        parallel = batch_run_results(sc, workers=2)
-        # nan fields defeat ==; bit-identical serialisation is the real claim
-        assert pickle.dumps(serial) == pickle.dumps(parallel)
-        assert pickle.dumps(monte_carlo_batch(sc)) == pickle.dumps(monte_carlo_batch(sc, workers=2))
+        for speed, last_event in ((1400.0, "intercept:type-2"), (2200.0, "touchdown")):
+            sc = replace(
+                terminal_engagement_scenario(speed, "type-2"),
+                runs=6, seed=3, noise=CALIBRATED_NOISE,
+            )
+            serial = batch_run_results(sc)
+            parallel = batch_run_results(sc, workers=2)
+            assert [r.events[-1][1] for r in serial] == [last_event] * 6
+            assert run_pickles(serial) == run_pickles(parallel)
+            assert (pickle.dumps(monte_carlo_batch(sc))
+                    == pickle.dumps(monte_carlo_batch(sc, workers=2)))
 
     @pytest.mark.parametrize("runs, workers", [(2, 64), (3, 2)])
     def test_pool_never_outnumbers_the_runs(self, runs, workers):

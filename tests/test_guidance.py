@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from reentrysim.dynamics import G0
 from reentrysim.engagement import GaussianStream, NoiseConfig, Scenario, _VehicleControl
-from reentrysim.errors import DomainError
+from reentrysim.errors import ConfigError, DomainError
 from reentrysim.guidance import (
     EvasionConfig,
     EvasionController,
@@ -303,6 +303,14 @@ class TestEvasionController:
         assert ctl.command(3.5, 2000.0, 0.0, boost_active=False) is None
         second = ctl.command(4.0, 2000.0, 0.0, boost_active=True)
         assert second == pytest.approx(2.0 - expected)
+
+    @pytest.mark.parametrize("field", ["interceptor_turn_radius", "interceptor_speed"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 0.0, -1.0])
+    def test_pursuer_model_must_be_finite_and_positive(self, field, value):
+        """An infinite pursuer speed or turn radius used to pass ``inf > 0``
+        and end an evading batch with a DomainError at the first boost."""
+        with pytest.raises(ConfigError, match=f"{field} must be finite and > 0"):
+            EvasionConfig(**{field: value})
 
     def test_commands_are_clamped(self):
         tight = EvasionConfig(enabled=True, interceptor_turn_radius=3000.0, interceptor_speed=1600.0, dwell=3.0)

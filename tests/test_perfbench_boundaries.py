@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from reentrysim import dynamics, engagement
+from reentrysim import cli, dynamics, engagement
 from reentrysim.engagement import NoiseConfig
 from reentrysim.presets import scenario_for_range, terminal_engagement_scenario
 
@@ -93,3 +93,19 @@ def test_cold_cache_engagement_traces_the_nominal_flight(tmp_path):
     )
     assert cold_steps == run_steps + nominal.steps
     assert tracer.metrics()["guidance.control.calls"] == cold_steps + run_steps
+
+
+def test_traced_cli_writes_count_the_bytes_of_each_file(tmp_path):
+    """Every writer hands the trace the path of the file it wrote, so
+    ``cli.write.bytes`` sums file sizes and never reads a directory's."""
+    out = tmp_path / "fly"
+    tracer = spans.Tracer(str(tmp_path))
+    tracer.install()
+    try:
+        assert cli.main(["fly", "--scenario", "x950", "--out", str(out)]) == 0
+    finally:
+        tracer.uninstall()
+    assert tracer.missing == []
+    assert tracer.stats["cli.write"][0] == 2
+    sizes = [(out / name).stat().st_size for name in ("trajectory.csv", "manifest.json")]
+    assert tracer.metrics()["cli.write.bytes"] == sum(sizes)
