@@ -1,17 +1,18 @@
 """Piecewise-quadratic drag coefficient models.
 
 Cx is quadratic in Mach number on three segments (subsonic, transonic,
-supersonic).  Two stock coefficient sets are shipped, one for the reentry
-vehicle and one for the interceptors.  Outputs are clamped below by
-``cx_floor`` because the supersonic polynomials go negative well inside the
-flight envelope (the interceptor set for M over roughly 1.8).
+supersonic) with seams at ``MACH_BREAKPOINTS``.  Two stock coefficient sets
+are shipped, one for the reentry vehicle and one for the interceptors.
+Outputs are clamped below by a ``DragModel``'s ``cx_floor`` (``CX_FLOOR`` on
+both stock models) because the supersonic polynomials go negative well
+inside the flight envelope (the interceptor set for M over roughly 1.8).
 
 The supersonic vehicle polynomial is a fit that grows like M^2 and becomes
-unusable near orbital-entry Mach numbers, so evaluation is frozen above
-``mach_cap``: cx(M) = cx(mach_cap) for M > mach_cap.  The shipped cap was
-chosen by matching simulated ballistic range against the reference descent
-profile (see tests); physically it stands in for the hypersonic drag
-plateau the quadratic fit cannot represent.
+unusable near orbital-entry Mach numbers, so the stock vehicle model
+freezes evaluation above ``VEHICLE_MACH_CAP``: cx(M) = cx(cap) for M above
+the cap.  The cap was chosen by matching simulated ballistic range against
+the reference descent profile (see tests); physically it stands in for the
+hypersonic drag plateau the quadratic fit cannot represent.
 """
 
 from __future__ import annotations
@@ -78,27 +79,17 @@ class DragModel:
         raise DomainError(f"no drag segment for Mach {m}")  # pragma: no cover
 
 
-def _build(coeffs, breakpoints, cx_floor, mach_cap) -> DragModel:
-    b1, b2 = breakpoints
-    if not 0.0 < b1 < b2:
-        raise ConfigError(f"Mach breakpoints must satisfy 0 < b1 < b2, got {breakpoints}")
-    lows = (0.0, b1, b2)
-    highs = (b1, b2, math.inf)
-    segments = tuple(
-        (lo, hi, c2, c1, c0) for lo, hi, (c2, c1, c0) in zip(lows, highs, coeffs)
-    )
-    return DragModel(segments=segments, cx_floor=cx_floor, mach_cap=mach_cap)
+def _build(coeffs, mach_cap: float) -> DragModel:
+    seams = (0.0, *MACH_BREAKPOINTS, math.inf)
+    segments = tuple((lo, hi, *c) for lo, hi, c in zip(seams, seams[1:], coeffs))
+    return DragModel(segments=segments, cx_floor=CX_FLOOR, mach_cap=mach_cap)
 
 
-def vehicle_drag_model(
-    breakpoints=MACH_BREAKPOINTS,
-    cx_floor: float = CX_FLOOR,
-    mach_cap: float = VEHICLE_MACH_CAP,
-) -> DragModel:
-    """Stock reentry-vehicle drag model."""
-    return _build(VEHICLE_CX_COEFFS, breakpoints, cx_floor, mach_cap)
+def vehicle_drag_model() -> DragModel:
+    """Stock reentry-vehicle drag model, capped at ``VEHICLE_MACH_CAP``."""
+    return _build(VEHICLE_CX_COEFFS, VEHICLE_MACH_CAP)
 
 
 def interceptor_drag_model() -> DragModel:
     """Stock interceptor drag model: no Mach cap."""
-    return _build(INTERCEPTOR_CX_COEFFS, MACH_BREAKPOINTS, CX_FLOOR, math.inf)
+    return _build(INTERCEPTOR_CX_COEFFS, math.inf)

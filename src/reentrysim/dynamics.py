@@ -24,7 +24,8 @@ Equations of motion, vehicle:
     dn/dt     = (u - n) / lag_time
     dw/dt     = 0
 
-The interceptor adds thrust along the velocity vector and a mass equation:
+The interceptor adds thrust along the velocity vector and a mass equation,
+and lags by ``INTERCEPTOR_LAG_TIME``:
 
     dv/dt    = (thrust(t) - cx(M) rho(y) v^2 S / 2) / mass - g sin(theta)
     dmass/dt = -mass_flow(t)
@@ -64,6 +65,7 @@ from .errors import ConfigError, DomainError, IntegrationAbort
 
 G0 = 9.80665      # m/s^2
 SPEED_GUARD = 1.0  # m/s; below this 1/v terms are treated as singular
+INTERCEPTOR_LAG_TIME = 0.5  # s, load-factor lag of both interceptor types
 
 
 @dataclass(frozen=True)
@@ -113,12 +115,9 @@ class VehicleSpec:
     lag_time: float = 1.0      # s, load-factor lag constant
 
     def __post_init__(self):
-        if not self.mass > 0.0:
-            raise ConfigError(f"mass must be > 0, got {self.mass}")
-        if not self.wing_area > 0.0:
-            raise ConfigError(f"wing_area must be > 0, got {self.wing_area}")
-        if not self.lag_time > 0.0:
-            raise ConfigError(f"lag_time must be > 0, got {self.lag_time}")
+        for name in ("mass", "wing_area", "lag_time"):
+            if not 0.0 < getattr(self, name) < inf:
+                raise ConfigError(f"{name} must be finite and > 0, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -236,7 +235,7 @@ def interceptor_derivatives(
         v=(thrust - drag) / state.mass - g * st,
         theta=(g / v) * (state.n - ct),
         w=0.0,
-        n=(u - state.n) / spec.lag_time,
+        n=(u - state.n) / INTERCEPTOR_LAG_TIME,
         mass=-flow,
     )
 
@@ -250,7 +249,7 @@ def make_interceptor_rhs(spec, env: AtmosphereModel = DEFAULT_ATMOSPHERE, g: flo
     stage time, and any error replays the step through :func:`_rk4_generic`.
     """
     return _generated_rhs("interceptor", env, spec.drag, g=g, half_area=spec.wing_area / 2.0,
-                          inv_lag=1.0 / spec.lag_time, stages=spec.stages,
+                          inv_lag=1.0 / INTERCEPTOR_LAG_TIME, stages=spec.stages,
                           burnout_mass=spec.burnout_mass)
 
 

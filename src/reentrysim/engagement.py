@@ -42,7 +42,15 @@ from .guidance import (
     SeekerModel,
     wrap_angle,
 )
-from .interceptor import STOCK_SPECS, InterceptorSpec, ReachTable, launch_decision
+from .interceptor import (
+    INTERCEPTOR_U_MAX,
+    LAUNCH_SPEED,
+    NAV_GAIN,
+    STOCK_SPECS,
+    InterceptorSpec,
+    ReachTable,
+    launch_decision,
+)
 
 MISS_NONE = math.inf  # sentinel miss distance when nothing was launched
 PLANNING_GRID = 0.2   # s, spacing of the predicted track that launch planning scans
@@ -412,20 +420,19 @@ class _Missile:
     def __init__(self, site: InterceptorSite, plan, env: AtmosphereModel, g: float):
         self.kind = site.kind
         self.spec = site.resolve_spec()
-        self.plan = plan
+        self.launch_time, self.aim_angle = plan
         self.site_x = site.x
         rhs = make_interceptor_rhs(self.spec, env, g)
         self.step = getattr(rhs, "rk4_step", None) or partial(rk4_step, rhs)
         self.g = g
         self.state = None         # (x, y, z, v, theta, w, n, mass)
-        self.launch_time = plan.launch_time
         self.min_miss = math.inf
         self.done = False
 
     def launch(self):
         self.state = (
             self.site_x, 1.0, 0.0,
-            self.spec.launch_speed, self.plan.aim_angle,
+            LAUNCH_SPEED, self.aim_angle,
             0.0, 0.0, self.spec.initial_mass,
         )
 
@@ -452,12 +459,11 @@ class _Missile:
         rvy = vt * math.sin(tt) - v * math.sin(theta)
         lam_dot = (rx * rvy - ry * rvx) / r2
         closing = -(rx * rvx + ry * rvy) / math.sqrt(r2)
-        u = self.spec.nav_gain * (closing / self.g) * lam_dot + math.cos(theta)
-        u_max = self.spec.u_max
-        if u > u_max:
-            return u_max
-        if u < -u_max:
-            return -u_max
+        u = NAV_GAIN * (closing / self.g) * lam_dot + math.cos(theta)
+        if u > INTERCEPTOR_U_MAX:
+            return INTERCEPTOR_U_MAX
+        if u < -INTERCEPTOR_U_MAX:
+            return -INTERCEPTOR_U_MAX
         return u
 
 

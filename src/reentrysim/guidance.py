@@ -53,16 +53,14 @@ class GuidanceConfig:
     gravitational_cos_theta: bool = False    # alternate phase-1 law
 
     def __post_init__(self):
-        if not self.pullup_radius > 0.0:
-            raise ConfigError(f"pullup_radius must be > 0, got {self.pullup_radius}")
-        if not self.hold_gain > 0.0:
-            raise ConfigError(f"hold_gain must be > 0, got {self.hold_gain}")
-        if not self.u_max > 0.0:
-            raise ConfigError(f"u_max must be > 0, got {self.u_max}")
-        if not self.hold_band >= 0.0:
-            raise ConfigError(f"hold_band must be >= 0, got {self.hold_band}")
-        if not self.terminal_gain > 0.0:
-            raise ConfigError(f"terminal_gain must be > 0, got {self.terminal_gain}")
+        for name in ("pullup_start_altitude", "hold_altitude"):
+            if not -math.inf < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("pullup_radius", "hold_gain", "u_max", "terminal_gain"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+        if not 0.0 <= self.hold_band < math.inf:
+            raise ConfigError(f"hold_band must be finite and >= 0, got {self.hold_band}")
 
 
 @dataclass(frozen=True)
@@ -79,10 +77,9 @@ class SeekerModel:
     field_of_regard: float = 1.0           # rad, half-cone about the velocity
 
     def __post_init__(self):
-        if not self.activation_altitude > 0.0:
-            raise ConfigError("activation_altitude must be > 0")
-        if not self.activation_range > 0.0:
-            raise ConfigError("activation_range must be > 0")
+        for name in ("activation_altitude", "activation_range"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and > 0, got {getattr(self, name)}")
         if not 0.0 < self.field_of_regard <= math.pi:
             raise ConfigError("field_of_regard must be in (0, pi]")
 
@@ -95,12 +92,9 @@ class EvasionConfig:
     dwell: float = 3.0                       # s per turn before the sign flips
 
     def __post_init__(self):
-        if not 0.0 < self.interceptor_turn_radius < math.inf:
-            raise ConfigError("interceptor_turn_radius must be finite and > 0")
-        if not 0.0 < self.interceptor_speed < math.inf:
-            raise ConfigError("interceptor_speed must be finite and > 0")
-        if not self.dwell > 0.0:
-            raise ConfigError("dwell must be > 0")
+        for name in ("interceptor_turn_radius", "interceptor_speed", "dwell"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and > 0, got {getattr(self, name)}")
 
 
 def wrap_angle(a: float) -> float:

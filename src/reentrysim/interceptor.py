@@ -55,7 +55,13 @@ TYPE1_ANCHOR_TIME = 36.0          # s
 TYPE2_PEAK_SPEED = 721.2          # m/s
 TYPE2_REPORT_TIME = 8.0           # s, speed reported for inspection, not matched
 
-PROFILE_DT = 0.02  # s, step of the pinned-pitch profiles
+PROFILE_DT = 0.02       # s, step of the pinned-pitch profiles
+LAUNCH_ALTITUDE = 10.0  # m, where the pinned-pitch profiles start
+
+# Both stock types fly with these; the engagement loop's PN and launch read them.
+LAUNCH_SPEED = 30.0       # m/s leaving the rail
+NAV_GAIN = 4.0            # PN navigation constant
+INTERCEPTOR_U_MAX = 25.0  # g, structural limit
 
 
 @dataclass(frozen=True)
@@ -71,18 +77,12 @@ class InterceptorSpec:
     stages: tuple
     wing_area: float
     drag: DragModel = field(default_factory=interceptor_drag_model)
-    lag_time: float = 0.5     # s, load-factor lag
-    launch_speed: float = 30.0  # m/s leaving the rail
-    nav_gain: float = 4.0
-    u_max: float = 25.0       # g, structural limit
 
     def __post_init__(self):
         if not 0.0 < self.burnout_mass < self.initial_mass:
             raise ConfigError("need 0 < burnout_mass < initial_mass")
         if not self.wing_area > 0.0:
             raise ConfigError("wing_area must be > 0")
-        if not self.lag_time > 0.0:
-            raise ConfigError("lag_time must be > 0")
         t_expect = 0.0
         burned = 0.0
         for t_start, t_end, thrust, flow in self.stages:
@@ -181,10 +181,9 @@ def pinned_pitch_profile(
     t_end: float,
     env: AtmosphereModel = DEFAULT_ATMOSPHERE,
     g: float = G0,
-    dt: float = PROFILE_DT,
-    y0: float = 10.0,
 ) -> FlightProfile:
-    """Fly the thrust schedule at a frozen flight-path angle.
+    """Fly the thrust schedule at a frozen flight-path angle, from
+    ``LAUNCH_SPEED`` at ``LAUNCH_ALTITUDE``, in steps of ``PROFILE_DT``.
 
     Reproduces the reference firing-table setup (the tables hold theta
     nearly constant) and doubles as the reachability integrator: ``path``
@@ -196,28 +195,26 @@ def pinned_pitch_profile(
     step has the bits of ``_rk4_generic``, which replays it on any error and
     so raises the RHS's :class:`DomainError`.
     """
-    if not (0.0 <= t_end < math.inf and 0.0 < dt < math.inf and math.isfinite(theta)
-            and 0.0 < g < math.inf and 0.0 <= y0 < math.inf):
-        raise DomainError(f"need finite t_end >= 0 and dt > 0, a finite theta, a finite "
-                          f"g > 0 and a finite launch altitude y0 >= 0, got t_end={t_end}, "
-                          f"dt={dt}, theta={theta}, g={g}, y0={y0}")
-    points = tuple(_profile_steps(spec, theta, t_end, env, g, dt, y0))
+    if not (0.0 <= t_end < math.inf and math.isfinite(theta) and 0.0 < g < math.inf):
+        raise DomainError(f"need finite t_end >= 0, a finite theta and a finite g > 0, "
+                          f"got t_end={t_end}, theta={theta}, g={g}")
+    points = tuple(_profile_steps(spec, theta, t_end, env, g))
     peak = max(points, key=lambda p: p.v)  # the first of equal peaks
     return FlightProfile(points, peak.v, peak.t)
 
 
 def _profile_steps(spec: InterceptorSpec, theta: float, t_end: float,
-                   env: AtmosphereModel, g: float, dt: float, y0: float):
+                   env: AtmosphereModel, g: float):
     """The points of one pinned-pitch climb, launch first, one per step, up
     to ``t_end`` or the first point on the ground or below 1 m/s."""
     rhs = _generated_rhs("profile", env, spec.drag, wing_area=spec.wing_area, g=g,
                          sin_t=math.sin(theta), stages=spec.stages,
                          burnout_mass=spec.burnout_mass)
-    y = (spec.launch_speed, y0, spec.initial_mass, 0.0)
+    y = (LAUNCH_SPEED, LAUNCH_ALTITUDE, spec.initial_mass, 0.0)
     yield ProfilePoint(0.0, y[0], y[1], y[2], y[3])
-    for k in range(round(t_end / dt)):
-        y = rk4_step(rhs, k * dt, y, 0.0, dt)
-        yield ProfilePoint((k + 1) * dt, y[0], y[1], y[2], y[3])
+    for k in range(round(t_end / PROFILE_DT)):
+        y = rk4_step(rhs, k * PROFILE_DT, y, 0.0, PROFILE_DT)
+        yield ProfilePoint((k + 1) * PROFILE_DT, y[0], y[1], y[2], y[3])
         if y[1] <= 0.0 or y[0] < 1.0:
             return
 
@@ -526,7 +523,7 @@ class ReachTable:
     @classmethod
     def build(cls, spec: InterceptorSpec,
               env: AtmosphereModel = DEFAULT_ATMOSPHERE) -> "ReachTable":
-        return cls(_profile_steps(spec, REACH_ELEVATION, REACH_T_END, env, G0, PROFILE_DT, 10.0))
+        return cls(_profile_steps(spec, REACH_ELEVATION, REACH_T_END, env, G0))
 
     def time_to(self, slant: float) -> float | None:
         """First time the path length reaches ``slant``; None if never."""
@@ -558,46 +555,27 @@ class ReachTable:
 
 
 class LaunchPlan(NamedTuple):
-    """Launch time and rail angle, the time of the planned intercept, and
-    the slack between them."""
+    """Launch time and rail angle of a planned intercept."""
 
     launch_time: float
     aim_angle: float
-    intercept_time: float
-    margin: float  # available flight time minus required, s
 
 
-def launch_decision(
-    prediction: Sequence,
-    site_x: float,
-    reach: ReachTable,
-    now: float = 0.0,
-) -> LaunchPlan | None:
+def launch_decision(prediction: Sequence, site_x: float, reach: ReachTable) -> LaunchPlan | None:
     """Earliest feasible intercept against a predicted track.
 
     prediction: time-ordered (t, x, y) samples of the target.  A point is
     feasible when it lies in an engagement zone and the interceptor, whose
-    fly-out ``reach`` tabulates, can cover the slant range from the site in
-    the time remaining.  Returns the plan for the earliest feasible point,
-    or None.
+    fly-out ``reach`` tabulates, can cover the slant range from the site
+    between t = 0 and the point's time.  Returns the plan for the earliest
+    feasible point, or None.
     """
     for t, x, y in prediction:
-        if t < now:
-            continue
         dx = x - site_x
         if zone_classify(abs(dx), y) is None:
             continue
-        slant = math.hypot(dx, y)
-        t_flight = reach.time_to(slant)
-        if t_flight is None:
-            continue
-        launch_time = t - t_flight
-        if launch_time >= now:
-            return LaunchPlan(
-                launch_time=launch_time,
-                aim_angle=math.atan2(y, dx),
-                intercept_time=t,
-                margin=(t - now) - t_flight,
-            )
+        t_flight = reach.time_to(math.hypot(dx, y))
+        if t_flight is not None and t - t_flight >= 0.0:
+            return LaunchPlan(t - t_flight, math.atan2(y, dx))
     return None
 

@@ -69,14 +69,6 @@ def test_mach_cap_freezes_the_coefficient():
     assert interceptor_drag_model().mach_cap == math.inf
 
 
-def test_custom_breakpoints():
-    m = vehicle_drag_model(breakpoints=(0.9, 1.3))
-    assert m.segments[0][1] == 0.9
-    assert m.segments[1][:2] == (0.9, 1.3)
-    with pytest.raises(ConfigError):
-        vehicle_drag_model(breakpoints=(1.2, 0.8))
-
-
 def test_invalid_mach_rejected():
     m = vehicle_drag_model()
     for bad in (-0.1, math.nan, math.inf):

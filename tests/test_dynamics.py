@@ -28,7 +28,12 @@ from reentrysim.dynamics import (
     _kernel_source,
     _rk4_generic,
 )
-from reentrysim.aero import DragModel, interceptor_drag_model, vehicle_drag_model
+from reentrysim.aero import (
+    VEHICLE_CX_COEFFS,
+    DragModel,
+    interceptor_drag_model,
+    vehicle_drag_model,
+)
 from reentrysim.engagement import batch_run_results
 from reentrysim.errors import ConfigError, DomainError, IntegrationAbort
 from reentrysim.interceptor import pinned_pitch_profile, type1_spec, type2_spec
@@ -223,7 +228,7 @@ def profile_rhs(spec, theta, env=DEFAULT_ATMOSPHERE):
     return seen[0]
 
 
-UNCAPPED = VehicleSpec(drag=vehicle_drag_model(mach_cap=math.inf))
+UNCAPPED = VehicleSpec(drag=replace(vehicle_drag_model(), mach_cap=math.inf))
 
 # kind -> (fused RHS, a state it flies)
 FUSED = {
@@ -431,7 +436,9 @@ def test_infinite_speed_aborts_the_interceptor_rhs_instead_of_crashing():
 # zeros, which equal 0.0 as floats but not as literals.
 OFF_STOCK = {
     "drag seams at 0.7 and 1.3, uncapped": (
-        DEFAULT_ATMOSPHERE, vehicle_drag_model(breakpoints=(0.7, 1.3), mach_cap=math.inf)),
+        DEFAULT_ATMOSPHERE, DragModel(segments=tuple(
+            (lo, hi, *c) for lo, hi, c in zip((0.0, 0.7, 1.3), (0.7, 1.3, math.inf),
+                                             VEHICLE_CX_COEFFS)))),
     "three speed-of-sound branches": (
         AtmosphereModel(vs_branches=((0.0, 5.0, 340.0, -3.0, 0.0), (5.0, 30.0, 325.0, 0.0, 5.0),
                                      (30.0, math.inf, 300.0, 0.5, 0.0))),
@@ -551,8 +558,8 @@ def test_each_table_set_compiles_its_own_kernel_once():
         assert compiled.call_count == 3
         assert len({r.rk4_step.__code__.co_filename for r in rhs}) == 3
         # density, floor and cap are arguments of the compiled kernel
-        make_vehicle_rhs(VehicleSpec(drag=vehicle_drag_model(cx_floor=0.07, mach_cap=3.0)),
-                         replace(plain, rho0=1.3, k_decay=1e-4))
+        floored = replace(vehicle_drag_model(), cx_floor=0.07, mach_cap=3.0)
+        make_vehicle_rhs(VehicleSpec(drag=floored), replace(plain, rho0=1.3, k_decay=1e-4))
         assert compiled.call_count == 3
 
 
@@ -768,6 +775,15 @@ def test_state_vector_round_trip():
 def test_specific_energy():
     assert specific_energy(0.0, 0.0) == 0.0
     assert specific_energy(1000.0, 100.0) == pytest.approx(100.0 ** 2 / 2 + G0 * 1000.0)
+
+
+@pytest.mark.parametrize("key", ["mass", "wing_area", "lag_time"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_vehicle_spec_values_must_be_finite(key, value):
+    """On x800 an infinite mass or lag used to land 53 or 81 km off target
+    without an error, and an infinite wing area to abort below the speed guard."""
+    with pytest.raises(ConfigError, match=f"{key} must be finite and > 0"):
+        VehicleSpec(**{key: value})
 
 
 def test_invalid_specs_rejected():

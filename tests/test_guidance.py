@@ -316,3 +316,34 @@ class TestEvasionController:
         tight = EvasionConfig(enabled=True, interceptor_turn_radius=3000.0, interceptor_speed=1600.0, dwell=3.0)
         ctl = EvasionController(tight, u_max=15.0)
         assert ctl.command(0.0, 2000.0, 0.0, boost_active=True) == 15.0
+
+
+class TestConfigValuesAreFinite:
+    """NaN and infinities used to pass ``x > 0`` (or no check at all): an
+    x800 descent with a NaN pull-up altitude timed out at 600 s, one with a
+    NaN hold altitude aborted below the speed guard, and an infinite dwell
+    never ended its evading turn."""
+
+    @pytest.mark.parametrize("field", ["pullup_start_altitude", "hold_altitude"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_switch_altitudes(self, field, value):
+        GuidanceConfig(**{field: 0.0})  # the short-range presets pull up at 0 m
+        with pytest.raises(ConfigError, match=f"{field} must be finite"):
+            GuidanceConfig(**{field: value})
+
+    @pytest.mark.parametrize("cls, field", [
+        (GuidanceConfig, "pullup_radius"), (GuidanceConfig, "hold_gain"),
+        (GuidanceConfig, "terminal_gain"), (GuidanceConfig, "u_max"),
+        (SeekerModel, "activation_altitude"), (SeekerModel, "activation_range"),
+        (EvasionConfig, "dwell"),
+    ])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 0.0])
+    def test_positive_values(self, cls, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be finite and > 0"):
+            cls(**{field: value})
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan, -1.0])
+    def test_hold_band(self, value):
+        GuidanceConfig(hold_band=0.0)
+        with pytest.raises(ConfigError, match="hold_band must be finite and >= 0"):
+            GuidanceConfig(hold_band=value)
