@@ -18,9 +18,9 @@ hypersonic drag plateau the quadratic fit cannot represent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .errors import ConfigError, DomainError
+from .errors import POSITIVE, ConfigError, DomainError, check_ranges, in_range
 
 MACH_BREAKPOINTS = (0.8, 1.2)   # segment seams; ties select the higher-Mach segment
 CX_FLOOR = 0.05
@@ -48,14 +48,11 @@ class DragModel:
     """
 
     segments: tuple
-    cx_floor: float = CX_FLOOR
-    mach_cap: float = math.inf
+    cx_floor: float = field(default=CX_FLOOR, metadata=POSITIVE)
+    mach_cap: float = field(default=math.inf, metadata=in_range("in (0, inf]", lambda v: v > 0.0))
 
     def __post_init__(self):
-        if not (self.cx_floor > 0.0 and math.isfinite(self.cx_floor)):
-            raise ConfigError(f"cx_floor must be finite and > 0, got {self.cx_floor}")
-        if not self.mach_cap > 0.0:
-            raise ConfigError(f"mach_cap must be > 0, got {self.mach_cap}")
+        check_ranges(self)
         lo_expect = 0.0
         for m_low, m_high, c2, c1, c0 in self.segments:
             if m_low != lo_expect or m_high <= m_low:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import ConfigError, DomainError
+from .errors import NON_NEGATIVE, POSITIVE, ConfigError, DomainError, check_ranges
 
 RHO0 = 1.225            # sea-level density, kg/m^3
 K_DECAY = 1.0 / 7000.0  # inverse density scale height, 1/m
@@ -39,15 +39,12 @@ class AtmosphereModel:
     checks; negative values are rejected.
     """
 
-    rho0: float = RHO0
-    k_decay: float = K_DECAY
+    rho0: float = field(default=RHO0, metadata=NON_NEGATIVE)
+    k_decay: float = field(default=K_DECAY, metadata=POSITIVE)
     vs_branches: tuple = field(default=VS_BRANCHES)
 
     def __post_init__(self):
-        if not (self.rho0 >= 0.0 and math.isfinite(self.rho0)):
-            raise ConfigError(f"rho0 must be finite and >= 0, got {self.rho0}")
-        if not (self.k_decay > 0.0 and math.isfinite(self.k_decay)):
-            raise ConfigError(f"k_decay must be finite and > 0, got {self.k_decay}")
+        check_ranges(self)
         lo_expect = 0.0
         for lo, hi, base, slope, ref in self.vs_branches:
             if lo != lo_expect:

@@ -35,9 +35,9 @@ across a step (zero-order hold), in one step loop, ``_drive``, behind the
 public ``integrate_until`` and every flight of ``engagement._fly``.  It
 ends on ground impact (touchdown state linearly interpolated inside the
 final step), on its caller's hook (a stop event, an intercept), or on
-timeout; timeout is a result, not an error.  A non-finite state or a speed
-below ``SPEED_GUARD`` aborts the run with
-:class:`~reentrysim.errors.IntegrationAbort`.
+timeout; timeout is a result, not an error.  A non-finite start is an
+argument error; a state that turns non-finite, or a speed below
+``SPEED_GUARD``, aborts the run with :class:`~reentrysim.errors.IntegrationAbort`.
 
 The RHS of the step loops (vehicle, interceptor and the pinned-pitch
 profile) are generated, each with its fused RK4 step, from one stage
@@ -61,7 +61,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from .aero import DragModel, vehicle_drag_model
 from .atmosphere import DEFAULT_ATMOSPHERE, AtmosphereModel
-from .errors import ConfigError, DomainError, IntegrationAbort
+from .errors import POSITIVE, ConfigError, DomainError, IntegrationAbort, check_ranges, in_range
 
 G0 = 9.80665      # m/s^2
 SPEED_GUARD = 1.0  # m/s; below this 1/v terms are treated as singular
@@ -108,33 +108,25 @@ class VehicleSpec:
     directly), it is recorded for reporting.
     """
 
-    mass: float = 1500.0       # kg
-    wing_area: float = 2.0     # m^2
+    mass: float = field(default=1500.0, metadata=POSITIVE)     # kg
+    wing_area: float = field(default=2.0, metadata=POSITIVE)   # m^2
     drag: DragModel = field(default_factory=vehicle_drag_model)
     lift_to_drag: float = 2.0
-    lag_time: float = 1.0      # s, load-factor lag constant
+    lag_time: float = field(default=1.0, metadata=POSITIVE)    # s, load-factor lag constant
 
-    def __post_init__(self):
-        for name in ("mass", "wing_area", "lag_time"):
-            if not 0.0 < getattr(self, name) < inf:
-                raise ConfigError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+    __post_init__ = check_ranges
 
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    dt: float = 0.02            # s
-    t_max: float = 600.0        # s
-    g: float = G0
+    dt: float = field(default=0.02, metadata=in_range("in (0, 1] s", lambda v: 0.0 < v <= 1.0))
+    t_max: float = field(default=600.0, metadata=POSITIVE)  # s
+    g: float = field(default=G0, metadata=POSITIVE)
     sample_interval: float = 10.0  # s between recorded trajectory rows
 
     def __post_init__(self):
-        if not 0.0 < self.dt <= 1.0:
-            raise ConfigError(f"dt must be in (0, 1] s, got {self.dt}")
-        if not 0.0 < self.t_max < inf:
-            raise ConfigError(f"t_max must be finite and > 0, got {self.t_max}")
-        if not 0.0 < self.g < inf:
-            raise ConfigError(f"g must be finite and > 0, got {self.g}")
-        if not self.dt <= self.sample_interval < inf:
+        check_ranges(self)
+        if not self.dt <= self.sample_interval:
             raise ConfigError(f"sample_interval must be in [dt, inf), got {self.sample_interval}")
 
 
@@ -541,12 +533,14 @@ def integrate_until(
     are predicates (name, fn(t, y) -> bool) checked on each post-step
     state without interpolation, and ground impact wins a tie.
 
-    ``t0`` must be finite and below ``config.t_max``.  The public front of
-    :func:`_drive`, the loop that every flight of ``engagement._fly`` also
-    steps through.
+    ``t0`` must be finite and below ``config.t_max``, and ``y0`` finite.
+    The public front of :func:`_drive`, the loop that every flight of
+    ``engagement._fly`` also steps through.
     """
     if not -inf < t0 < config.t_max:
         raise DomainError(f"t0 must be finite and < t_max ({config.t_max}), got {t0}")
+    if not all(map(isfinite, y0)):
+        raise DomainError(f"y0 must be finite, got {tuple(y0)}")
     ticks = itertools.count(1)
 
     def stop(t, y, y_next):

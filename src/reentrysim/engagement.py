@@ -33,7 +33,8 @@ from .dynamics import (
     make_vehicle_rhs,
     rk4_step,
 )
-from .errors import BatchError, ConfigError, DomainError, IntegrationAbort
+from .errors import (NON_NEGATIVE, POSITIVE, BatchError, ConfigError, DomainError,
+                     IntegrationAbort, check_ranges)
 from .guidance import (
     EvasionConfig,
     EvasionController,
@@ -135,28 +136,24 @@ def _index(name: str, value) -> int:
 
 @dataclass(frozen=True)
 class NoiseConfig:
-    seeker_angle_sigma: float = 0.0        # rad, boresight error per evaluation
-    atmosphere_density_sigma: float = 0.0  # relative, one multiplier per run
-    turbulence_sigma: float = 0.0          # g, load-factor disturbance per step
+    seeker_angle_sigma: float = field(default=0.0, metadata=NON_NEGATIVE)  # rad, per evaluation
+    atmosphere_density_sigma: float = field(default=0.0, metadata=NON_NEGATIVE)  # relative, per run
+    turbulence_sigma: float = field(default=0.0, metadata=NON_NEGATIVE)  # g, load factor per step
 
-    def __post_init__(self):
-        for name in ("seeker_angle_sigma", "atmosphere_density_sigma", "turbulence_sigma"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise ConfigError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+    __post_init__ = check_ranges
 
 
 @dataclass(frozen=True)
 class InterceptorSite:
     """Ground launcher: downrange position and interceptor type."""
 
-    x: float
+    x: float = field(metadata={"label": "site x"})
     kind: str = "type-1"
 
     def __post_init__(self):
         if self.kind not in STOCK_SPECS:
             raise ConfigError(f"unknown interceptor kind {self.kind!r}")
-        if not math.isfinite(self.x):
-            raise ConfigError(f"site x must be finite, got {self.x}")
+        check_ranges(self)
 
     def resolve_spec(self) -> InterceptorSpec:
         return STOCK_SPECS[self.kind]
@@ -182,7 +179,7 @@ class Scenario:
     integrator: IntegratorConfig = field(default_factory=IntegratorConfig)
     seed: int = 0
     runs: int = 1
-    kill_radius: float = 10.0  # m, closest approach below this is an intercept
+    kill_radius: float = field(default=10.0, metadata=POSITIVE)  # m, a closer approach intercepts
 
     def __post_init__(self):
         for name in ("seed", "runs"):  # stored as int, so the manifest can write them
@@ -194,11 +191,12 @@ class Scenario:
             raise ConfigError(f"runs must be >= 1, got {self.runs}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if not 0.0 < self.kill_radius < math.inf:
-            raise ConfigError(f"kill_radius must be finite and > 0, got {self.kill_radius}")
+        check_ranges(self)
         if len(self.target) != 2 or not all(map(math.isfinite, self.target)):
             raise ConfigError(f"target must be a finite (x, y) pair, got {self.target}")
-        for name in ("t", "x", "z"):
+        if not self.entry.y > 0.0:
+            raise ConfigError(f"entry altitude must be > 0, got {self.entry.y}")
+        for name in ("t", "x", "y", "z", "v", "theta", "n"):
             if not math.isfinite(getattr(self.entry, name)):
                 raise ConfigError(f"entry {name} must be finite, got {getattr(self.entry, name)}")
         if self.entry.w != 0.0:
@@ -208,8 +206,6 @@ class Scenario:
             raise ConfigError(f"entry t must be < t_max ({t_max}), got {self.entry.t}")
         if not self.entry.v > 0.0:
             raise ConfigError("entry speed must be > 0")
-        if not self.entry.y > 0.0:
-            raise ConfigError(f"entry altitude must be > 0, got {self.entry.y}")
         for site in self.sites:
             if not isinstance(site, InterceptorSite):
                 raise ConfigError(f"sites must hold InterceptorSite entries, got {site!r}")

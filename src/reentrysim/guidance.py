@@ -26,12 +26,12 @@ each turn for a dwell time and alternating direction between activations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import NamedTuple
 
 from .dynamics import G0
-from .errors import ConfigError, DomainError
+from .errors import NON_NEGATIVE, POSITIVE, DomainError, check_ranges, in_range
 
 
 class GuidancePhase(IntEnum):
@@ -44,23 +44,15 @@ class GuidancePhase(IntEnum):
 @dataclass(frozen=True)
 class GuidanceConfig:
     pullup_start_altitude: float = 80_000.0  # m; GRAVITATIONAL -> PULL_UP below this
-    pullup_radius: float = 45_000.0          # m
+    pullup_radius: float = field(default=45_000.0, metadata=POSITIVE)  # m
     hold_altitude: float = 35_000.0          # m
-    hold_band: float = 500.0                 # m; PULL_UP -> ALTITUDE_HOLD inside band
-    hold_gain: float = 0.01                  # 1/m
-    terminal_gain: float = 10.0              # g per rad of boresight error
-    u_max: float = 15.0                      # g
+    hold_band: float = field(default=500.0, metadata=NON_NEGATIVE)  # m; ALTITUDE_HOLD inside band
+    hold_gain: float = field(default=0.01, metadata=POSITIVE)  # 1/m
+    terminal_gain: float = field(default=10.0, metadata=POSITIVE)  # g per rad of boresight error
+    u_max: float = field(default=15.0, metadata=POSITIVE)  # g
     gravitational_cos_theta: bool = False    # alternate phase-1 law
 
-    def __post_init__(self):
-        for name in ("pullup_start_altitude", "hold_altitude"):
-            if not -math.inf < getattr(self, name) < math.inf:
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
-        for name in ("pullup_radius", "hold_gain", "u_max", "terminal_gain"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ConfigError(f"{name} must be finite and > 0, got {getattr(self, name)}")
-        if not 0.0 <= self.hold_band < math.inf:
-            raise ConfigError(f"hold_band must be finite and >= 0, got {self.hold_band}")
+    __post_init__ = check_ranges
 
 
 @dataclass(frozen=True)
@@ -72,29 +64,22 @@ class SeekerModel:
     within ``field_of_regard`` of the velocity vector.
     """
 
-    activation_altitude: float = 35_000.0  # m
-    activation_range: float = 100_000.0    # m, slant
-    field_of_regard: float = 1.0           # rad, half-cone about the velocity
+    activation_altitude: float = field(default=35_000.0, metadata=POSITIVE)  # m
+    activation_range: float = field(default=100_000.0, metadata=POSITIVE)  # m, slant
+    field_of_regard: float = field(  # rad, half-cone about the velocity
+        default=1.0, metadata=in_range("in (0, pi]", lambda v: 0.0 < v <= math.pi))
 
-    def __post_init__(self):
-        for name in ("activation_altitude", "activation_range"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ConfigError(f"{name} must be finite and > 0, got {getattr(self, name)}")
-        if not 0.0 < self.field_of_regard <= math.pi:
-            raise ConfigError("field_of_regard must be in (0, pi]")
+    __post_init__ = check_ranges
 
 
 @dataclass(frozen=True)
 class EvasionConfig:
     enabled: bool = True
-    interceptor_turn_radius: float = 3000.0  # m, assumed pursuer turn capability
-    interceptor_speed: float = 1600.0        # m/s, assumed pursuer speed
-    dwell: float = 3.0                       # s per turn before the sign flips
+    interceptor_turn_radius: float = field(default=3000.0, metadata=POSITIVE)  # m, assumed
+    interceptor_speed: float = field(default=1600.0, metadata=POSITIVE)  # m/s, assumed
+    dwell: float = field(default=3.0, metadata=POSITIVE)  # s per turn before the sign flips
 
-    def __post_init__(self):
-        for name in ("interceptor_turn_radius", "interceptor_speed", "dwell"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ConfigError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+    __post_init__ = check_ranges
 
 
 def wrap_angle(a: float) -> float:

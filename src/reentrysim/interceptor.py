@@ -38,7 +38,7 @@ from typing import NamedTuple, Sequence
 from .aero import DragModel, interceptor_drag_model
 from .atmosphere import DEFAULT_ATMOSPHERE, AtmosphereModel
 from .dynamics import G0, _generated_rhs, rk4_step
-from .errors import ConfigError, DomainError
+from .errors import POSITIVE, ConfigError, DomainError, check_ranges
 
 # Fitted against the reference firing tables; see calibrate_type1/2.
 TYPE1_THRUST = 121_146.4        # N
@@ -72,23 +72,22 @@ class InterceptorSpec:
     t = 0; the integral of flow over the stages equals initial - burnout.
     """
 
-    initial_mass: float
-    burnout_mass: float
+    initial_mass: float = field(metadata=POSITIVE)
+    burnout_mass: float = field(metadata=POSITIVE)
     stages: tuple
-    wing_area: float
+    wing_area: float = field(metadata=POSITIVE)
     drag: DragModel = field(default_factory=interceptor_drag_model)
 
     def __post_init__(self):
-        if not 0.0 < self.burnout_mass < self.initial_mass:
+        check_ranges(self)
+        if not self.burnout_mass < self.initial_mass:
             raise ConfigError("need 0 < burnout_mass < initial_mass")
-        if not self.wing_area > 0.0:
-            raise ConfigError("wing_area must be > 0")
         t_expect = 0.0
         burned = 0.0
         for t_start, t_end, thrust, flow in self.stages:
-            if t_start != t_expect or t_end <= t_start:
+            if t_start != t_expect or not t_start < t_end < math.inf:
                 raise ConfigError("thrust stages must be contiguous from t = 0")
-            if flow < 0.0 or thrust < 0.0:
+            if not (0.0 <= flow < math.inf and 0.0 <= thrust < math.inf):
                 raise ConfigError("stage thrust and flow must be >= 0")
             burned += flow * (t_end - t_start)
             t_expect = t_end
@@ -386,7 +385,7 @@ class KillTable:
         if hs != sorted(hs):
             raise ConfigError("kill table rows must be sorted by altitude")
         for p, h, d, v in self.rows:
-            if not (0.0 <= p <= 1.0 and h > 0.0 and d > 0.0 and v > 0.0):
+            if not (0.0 <= p <= 1.0 and all(0.0 < x < math.inf for x in (h, d, v))):
                 raise ConfigError(f"bad kill-table row {(p, h, d, v)}")
         vs = [v for v, _p in self.speed_attenuation]
         if len(vs) < 2 or not all(-math.inf < a < b < math.inf for a, b in zip(vs, vs[1:])):

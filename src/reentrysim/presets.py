@@ -183,8 +183,6 @@ def terminal_engagement_scenario(
     Evasion defaults off so batch probabilities estimate the unevaded
     baseline; pass ``evasion_enabled=True`` for the evading variant.
     """
-    if not speed > 0.0:
-        raise ConfigError(f"speed must be > 0, got {speed}")
     shaped = dict(
         entry=VehicleState(
             t=0.0, x=0.0, y=_SWEEP_ENTRY_ALTITUDE, z=0.0,

@@ -1,14 +1,17 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from reentrysim.cli import _KEYS, _cast, _get_path, dump_scenario, main, parse_scenario
+from reentrysim.dynamics import VehicleSpec
 from reentrysim.engagement import _nominal_track
 from reentrysim.errors import ConfigError
 from reentrysim.presets import NAMED_PRESETS, named_scenario
@@ -93,6 +96,15 @@ class TestScenarioFiles:
         second = parse_scenario(write(tmp_path / "b.ini", dumped))
         assert second == first
         assert dump_scenario(second) == dumped
+
+    def test_a_python_built_lift_to_drag_round_trips(self, tmp_path):
+        """A NaN lift_to_drag used to be accepted, and its dump then failed
+        to parse; it is now rejected where the scenario is built."""
+        base = named_scenario("x800")
+        with pytest.raises(ConfigError, match="lift_to_drag must be finite, got nan"):
+            replace(base, vehicle=VehicleSpec(lift_to_drag=math.nan))
+        sc = replace(base, vehicle=VehicleSpec(lift_to_drag=3.25))
+        assert parse_scenario(write(tmp_path / "s.ini", dump_scenario(sc))) == sc
 
     def test_preset_base_with_overrides(self, tmp_path):
         text = "[batch]\npreset = x800\n\n[guidance]\nhold_altitude = 33000\n"

@@ -667,6 +667,15 @@ def test_non_finite_start_time_is_rejected(t0):
         integrate_until(rhs, lambda t, y: 0.0, t0, ENTRY.as_vector(), IntegratorConfig())
 
 
+@pytest.mark.parametrize("index, bad", [(1, math.nan), (3, math.inf), (4, math.inf), (6, -math.inf)])
+def test_non_finite_start_state_is_rejected(index, bad):
+    """theta = inf used to leak a bare ValueError from the fused step."""
+    y0 = list(ENTRY.as_vector())
+    y0[index] = bad
+    with pytest.raises(DomainError, match="y0 must be finite"):
+        integrate_until(make_vehicle_rhs(VehicleSpec()), lambda t, y: 0.0, 0.0, y0, IntegratorConfig())
+
+
 @pytest.mark.parametrize("t0", [600.0, 1e9])
 def test_start_time_at_or_past_t_max_is_rejected(t0):
     """Past the end the driver used to take one step and report a timeout."""

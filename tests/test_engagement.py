@@ -221,11 +221,13 @@ class TestVehicleRun:
         b = simulate_vehicle_run(sc, GaussianStream(11).substream(0))
         assert a == b
 
-    def test_infinite_altitude_is_a_failed_run(self):
+    def test_infinite_altitude_is_rejected(self):
+        """It used to fly as a failed run.  The kernel's abort on such a state
+        is pinned in test_dynamics, and an aborted flight recorded as a failed
+        run by ``test_aborting_nominal_flight_is_a_failed_run``."""
         sc = scenario_for_range(615_000)
-        r = simulate_vehicle_run(replace(sc, entry=replace(sc.entry, y=math.inf)))
-        assert r.failed == "non-finite altitude"
-        assert r.events[-1] == (0.0, "failed:non-finite altitude")
+        with pytest.raises(ConfigError, match="entry y must be finite, got inf"):
+            replace(sc, entry=replace(sc.entry, y=math.inf))
 
     @pytest.mark.parametrize("altitude", [0.0, -50.0, math.nan])
     def test_entry_at_or_below_ground_is_rejected(self, altitude):
@@ -238,6 +240,16 @@ class TestVehicleRun:
     def test_non_finite_entry_position_or_time_is_rejected(self, name, bad):
         sc = scenario_for_range(615_000)
         with pytest.raises(ConfigError, match=f"entry {name} must be finite"):
+            replace(sc, entry=replace(sc.entry, **{name: bad}))
+
+    @pytest.mark.parametrize("name", ["v", "theta", "n"])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_entry_speed_angle_or_load_is_rejected(self, name, bad):
+        """On x800, theta or n = +-inf used to end the run with a bare
+        ValueError from the vehicle kernel, and a NaN theta or n, or v = inf,
+        to fail as "speed below guard"."""
+        sc = scenario_for_range(800_000)
+        with pytest.raises(ConfigError, match=f"entry {name} must be finite, got {bad}"):
             replace(sc, entry=replace(sc.entry, **{name: bad}))
 
     @pytest.mark.parametrize("heading", [0.3, -1e-9, math.pi, math.nan])

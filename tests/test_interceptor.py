@@ -101,6 +101,28 @@ class TestThrust:
     def test_no_thrust_after_burnout(self):
         assert T2.thrust_and_flow(T2.burn_time + 0.01) == (0.0, 0.0)
 
+    @pytest.mark.parametrize("column", [2, 3])  # thrust, flow
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_stage_thrust_or_flow_is_rejected(self, column, bad):
+        """A NaN or +inf thrust used to pass ``thrust < 0.0``."""
+        stage = list(T1.stages[0])
+        stage[column] = bad
+        with pytest.raises(ConfigError, match="stage thrust and flow must be >= 0"):
+            replace(T1, stages=(tuple(stage),))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_stage_end_is_rejected(self, bad):
+        """It used to pass the tiling check and fail only as "stage flows
+        burn nan kg", which names the flows, not the stage time."""
+        with pytest.raises(ConfigError, match="thrust stages must be contiguous"):
+            replace(T1, stages=((0.0, bad, 1e5, 50.0),))
+
+    def test_an_infinite_wing_area_is_rejected(self):
+        """It used to pass, and the profile then failed as "altitude must be
+        finite, got -inf"."""
+        with pytest.raises(ConfigError, match="wing_area must be finite and > 0, got inf"):
+            type1_spec(wing_area=math.inf)
+
 
 class TestClimbProfiles:
     def test_type1_profile(self):
@@ -491,6 +513,14 @@ class TestKillProbability:
     def test_bad_speed_roll_offs_are_rejected(self, anchors, match):
         with pytest.raises(ConfigError, match=match):
             KillTable(rows=TYPE1_KILL_TABLE.rows, speed_attenuation=anchors)
+
+    @pytest.mark.parametrize("column", [1, 2, 3])  # h, d, v
+    def test_an_infinite_row_coordinate_is_rejected(self, column):
+        """The last row, so an infinite altitude keeps the rows sorted."""
+        rows = [list(row) for row in TYPE1_KILL_TABLE.rows]
+        rows[-1][column] = math.inf
+        with pytest.raises(ConfigError, match="bad kill-table row"):
+            replace(TYPE1_KILL_TABLE, rows=tuple(map(tuple, rows)))
 
     def test_invalid_inputs_rejected(self):
         with pytest.raises(DomainError):
