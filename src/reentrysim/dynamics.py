@@ -42,8 +42,9 @@ argument error; a state that turns non-finite, or a speed below
 The RHS of the step loops (vehicle, interceptor and the pinned-pitch
 profile) are generated, each with its fused RK4 step, from one stage
 template (:func:`_kernel_source`) specialised to the speed-of-sound and
-drag tables, compiled once per process and table set; ``vehicle_derivatives``
-and ``interceptor_derivatives`` are the readable references they are pinned to.
+drag tables and the thrust-stage seams, compiled once per process and
+set; ``vehicle_derivatives`` and ``interceptor_derivatives`` are the
+readable references they are pinned to.
 """
 
 from __future__ import annotations
@@ -237,8 +238,9 @@ def make_interceptor_rhs(spec, env: AtmosphereModel = DEFAULT_ATMOSPHERE, g: flo
     :func:`interceptor_derivatives` over a plain state tuple.
 
     Like :func:`make_vehicle_rhs`, the RHS is generated with its fused
-    step, the ``interceptor`` kernel: the thrust stage is looked up at each
-    stage time, and any error replays the step through :func:`_rk4_generic`.
+    step, the ``interceptor`` kernel: the stage seams are compiled in as an
+    ``if``/``elif`` chain on time since launch, the stage thrusts and flows
+    are arguments, and any error replays the step through :func:`_rk4_generic`.
     """
     return _generated_rhs("interceptor", env, spec.drag, g=g, half_area=spec.wing_area / 2.0,
                           inv_lag=1.0 / INTERCEPTOR_LAG_TIME, stages=spec.stages,
@@ -304,11 +306,7 @@ if not v >= SPEED_GUARD:
 _THRUST = """\
 thrust = flow = 0.0
 if mass > burnout_mass:
-    for t_start, t_end, stage_thrust, stage_flow in stages:
-        if t_start <= {ts} < t_end:
-            thrust, flow = stage_thrust, stage_flow
-            break
-"""
+{stage_chain}"""
 
 _LOOKUP = """\
 hc = h if h > 0.0 else 0.0
@@ -332,6 +330,16 @@ def _chain(x: str, table: tuple, assign: str) -> str:
     ``assign`` gets the row's numbers as ``repr`` literals: the same floats."""
     return "".join(f"{'el' if i else ''}if {x} < {hi!r}:\n    {assign.format(*map(repr, coeffs))}\n"
                    for i, (_lo, hi, *coeffs) in enumerate(table))
+
+
+def _stage_chain(ts: str, ends: tuple) -> str:
+    """``if``/``elif`` lines setting the thrust and flow of the stage that
+    holds time ``ts``, over stage ends ascending from stages contiguous from
+    0: before 0 and past the last end, none holds it (the coast), as for the
+    scan ``t_start <= ts < t_end`` over the stages, NaN included."""
+    return f"    if {ts} < 0.0:\n        pass\n" + "".join(
+        f"    elif {ts} < {end!r}:\n        thrust, flow = thrust_{i}, flow_{i}\n"
+        for i, end in enumerate(ends))
 
 
 _PLANAR = "st = sin(theta)\nct = cos(theta)\n{k}0 = v * ct\n{k}1 = v * st\n"
@@ -374,18 +382,20 @@ if not isfinite(va):
 _REPLAY = "return _rk4_generic(rhs, t, y, u, dt)"
 
 
-def _kernel_source(name: str, vs_branches: tuple, segments: tuple) -> str:
+def _kernel_source(name: str, vs_branches: tuple, segments: tuple, ends: tuple = ()) -> str:
     """Source of ``make(rho0, k_decay, cx_floor, mach_cap, *, <free>)``,
     which returns the RHS ``rhs(t, y, u)`` of kernel ``name`` carrying its
     fused RK4 step as ``rhs.rk4_step(t, y, u, dt)``.
 
     A stage is the kernel's guard, the shared atmosphere and drag lookup
     (both tables as :func:`_chain` lines, in the readable model's operand
-    order), and its derivative lines.  The RHS is stage 1 over the unpacked
-    state, with its ``raise`` lines; a component whose derivative is always
-    0 returns ``0.0``.  The step inlines the stage four times, each
-    ``raise`` rewritten to replay the step through :func:`_rk4_generic`,
-    which raises the RHS's error.  Stage inputs, outputs and the non-finite
+    order), and its derivative lines.  A kernel with thrust stages takes
+    ``stages``, whose thrusts and flows ``make`` binds, and finds the stage
+    by the :func:`_stage_chain` over their ``ends``.  The RHS is stage 1 over
+    the unpacked state, with its ``raise`` lines; a component whose
+    derivative is always 0 returns ``0.0``.  The step inlines the stage four
+    times, each ``raise`` rewritten to replay the step through
+    :func:`_rk4_generic`, which raises the RHS's error.  Stage inputs, outputs and the non-finite
     sum keep the reference step's operand order, so the step has its bits;
     a zero derivative passes through as ``y + sixth * 0.0``.
     ``tests/kernels/`` holds the sources over the stock tables.
@@ -398,7 +408,8 @@ def _kernel_source(name: str, vs_branches: tuple, segments: tuple) -> str:
                   cx_chain=_chain("m", segments, "cx = ({} * m + {}) * m + {}"))
 
     def stage(k, ts):
-        return (kernel["guard"] + _LOOKUP + kernel["rates"]).format(k=k, ts=ts, **chains, **kernel)
+        return (kernel["guard"] + _LOOKUP + kernel["rates"]).format(
+            k=k, stage_chain=_stage_chain(ts, ends), **chains, **kernel)
 
     rates = ", ".join(f"a{i}" if i in live else "0.0" for i in range(len(state)))
     rhs = [f"{', '.join(state)} = y", stage("a", "t"), f"return ({rates})"]
@@ -421,9 +432,12 @@ def _kernel_source(name: str, vs_branches: tuple, segments: tuple) -> str:
     def indent(lines):
         return textwrap.indent("\n".join(line.rstrip("\n") for line in lines), " " * 8)
 
+    staged = "stages" in kernel["free"]
+    bind = ", ".join(f"(_, _, thrust_{i}, flow_{i})" for i in range(len(ends)))
     return (
         f"def make(rho0, k_decay, cx_floor, mach_cap, *, {kernel['free']}):\n"
-        f"    def rhs(t, y, u):\n{indent(rhs)}\n\n"
+        + (f"    [{bind}] = stages\n" if staged else "")
+        + f"    def rhs(t, y, u):\n{indent(rhs)}\n\n"
         f"    def {name}_rk4_step(t, y, u, dt):\n{indent(body)}\n\n"
         f"    rhs.rk4_step = {name}_rk4_step\n    return rhs\n"
     )
@@ -432,13 +446,13 @@ def _kernel_source(name: str, vs_branches: tuple, segments: tuple) -> str:
 _FACTORIES: dict = {}
 
 
-def _kernel_factory(name: str, vs_branches: tuple, segments: tuple) -> Callable:
-    """The compiled ``make`` of kernel ``name`` over these tables, once per
-    process and table set (keyed by ``repr``, which tells -0.0 from 0.0),
-    and in ``linecache`` under its own name so tracebacks show its lines."""
-    key = (name, repr(vs_branches), repr(segments))
+def _kernel_factory(name: str, vs_branches: tuple, segments: tuple, ends: tuple) -> Callable:
+    """The compiled ``make`` of kernel ``name`` over these tables and stage
+    ends, once per process and set (keyed by ``repr``, which tells -0.0 from
+    0.0), and in ``linecache`` under its own name so tracebacks show its lines."""
+    key = (name, repr(vs_branches), repr(segments), repr(ends))
     if key not in _FACTORIES:
-        source = _kernel_source(name, vs_branches, segments)
+        source = _kernel_source(name, vs_branches, segments, ends)
         crc = zlib.crc32(source.encode())
         filename = f"<reentrysim.dynamics generated {name} kernel {crc:08x}>"
         linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
@@ -451,11 +465,14 @@ def _kernel_factory(name: str, vs_branches: tuple, segments: tuple) -> Callable:
 def _generated_rhs(name: str, env: AtmosphereModel, drag: DragModel, **free) -> Callable:
     """The RHS of kernel ``name`` over ``env`` and ``drag``, with its fused step.
 
-    The tables are compiled into the kernel; the density, ``cx_floor``,
-    ``mach_cap`` and ``free`` are arguments of its ``make``, so runs that
-    differ only in density (density noise) share one compiled kernel.
+    The tables and the ends of any thrust ``stages`` are compiled into the
+    kernel; the density, ``cx_floor``, ``mach_cap`` and ``free``, stage
+    thrusts and flows included, are arguments of its ``make``, so runs that
+    differ only in density (density noise) and calibration profiles that
+    differ only in thrust share one compiled kernel.
     """
-    return _kernel_factory(name, env.vs_branches, drag.segments)(
+    ends = tuple(stage[1] for stage in free.get("stages", ()))
+    return _kernel_factory(name, env.vs_branches, drag.segments, ends)(
         env.rho0, env.k_decay, drag.cx_floor, drag.mach_cap, **free)
 
 

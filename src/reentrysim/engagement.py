@@ -433,11 +433,8 @@ class _Missile:
         )
 
     def thrusting(self, t: float) -> bool:
-        return (
-            self.state is not None
-            and not self.done
-            and t - self.launch_time < self.spec.burn_time
-        )
+        """Whether a missile in flight still burns at time ``t``."""
+        return t - self.launch_time < self.spec.burn_time
 
     def pn_command(self, target_y: tuple) -> float:
         """Proportional navigation with gravity compensation, clamped to the
@@ -509,28 +506,39 @@ def simulate_engagement(scenario: Scenario, stream: GaussianStream | None = None
             missiles.append(_Missile(site, plan, env, g))
     evasion = EvasionController(scenario.evasion, scenario.guidance.u_max, g)
     evading = scenario.evasion.enabled
+    # per-step work is for the missiles in flight: launched and not done,
+    # in site order; launches are checked only once one is due
+    flying = []
+    next_launch = min((m.launch_time for m in missiles), default=math.inf)
 
     def command(t, y):
-        for m in missiles:
-            if m.state is None and t >= m.launch_time:
-                m.launch()
-                events.append((t, f"launch:{m.kind}"))
-        # only an enabled controller reads the booster scan
-        boost = evading and any(m.thrusting(t) for m in missiles)
+        nonlocal flying, next_launch
+        if t >= next_launch:
+            for m in missiles:
+                if m.state is None and t >= m.launch_time:
+                    m.launch()
+                    events.append((t, f"launch:{m.kind}"))
+            flying = [m for m in missiles if m.state is not None and not m.done]
+            next_launch = min((m.launch_time for m in missiles if m.state is None),
+                              default=math.inf)
+        if not evading:
+            return control(t, y)
         u = control(t, y)
-        override = evasion.command(t, y[3], y[4], boost)
+        override = evasion.command(t, y[3], y[4], any(m.thrusting(t) for m in flying))
         return u if override is None else override
 
     def after_step(t, y, y_next):
+        nonlocal flying
+        if not flying:
+            return None
         hit = None
-        for m in missiles:
-            if m.state is None or m.done:
-                continue
+        ended = False
+        for m in flying:
             s = m.state
             try:
                 s_next = m.step(t - m.launch_time, s, m.pn_command(y), dt)
             except IntegrationAbort as abort:
-                m.done = True
+                m.done = ended = True
                 events.append((t, f"abort:{m.kind}:{abort.reason}"))
                 continue
             miss, t_off = _step_miss(
@@ -542,9 +550,11 @@ def simulate_engagement(scenario: Scenario, stream: GaussianStream | None = None
             if miss < scenario.kill_radius and (hit is None or miss < hit[1]):
                 hit = (m, miss, t + t_off)
             if s_next[1] <= 0.0:
-                m.done = True
+                m.done = ended = True
             else:
                 m.state = s_next
+        if ended:
+            flying = [m for m in flying if not m.done]
         if hit is None:
             return None
         m, miss, t_kill = hit

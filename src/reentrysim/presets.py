@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from .dynamics import VehicleState
 from .engagement import InterceptorSite, NoiseConfig, Scenario
 from .errors import ConfigError
-from .guidance import EvasionConfig, GuidanceConfig, SeekerModel
+from .guidance import GuidanceConfig, SeekerModel
 
 ENTRY = VehicleState(t=0.0, x=0.0, y=84_109.0, z=0.0, v=7873.0, theta=-0.0442)
 

@@ -318,6 +318,13 @@ def test_infinite_altitude_aborts_instead_of_crashing():
 STAGE_SEAMS = [edge - f * 0.02 for edge in (4.0, 6.0, type2_spec().burn_time,
                                            type1_spec().burn_time) for f in (0.25, 0.5, 1.0)]
 MACH_SEAMS_20KM = [0.8 * 295.1, 1.2 * 295.1]  # Mach exactly 0.8 and 1.2 at 20 km
+# launch and every thrust-stage seam of the stock specs (type 2's 4 s, 6 s and
+# burnout, type 1's burnout at 13.124 s), each with one ulp either side; then
+# -0.0, a time before launch, one after every burnout, and NaN
+THRUST_SEAM_TIMES = [
+    x for edge in (0.0, 4.0, 6.0, type2_spec().burn_time, type1_spec().burn_time)
+    for x in (math.nextafter(edge, -math.inf), edge, math.nextafter(edge, math.inf))
+] + [-0.0, -1.0, 40.0, math.nan]
 
 
 @given(
@@ -380,6 +387,38 @@ def test_fused_profile_step_at_each_seam(type2, theta, t, v, y):
     for h in (y, math.nextafter(y, -math.inf), math.nextafter(y, math.inf)):
         s = (v, h, spec.mass_at(t), 1_000.0)
         assert bits(rk4_step(rhs, t, s, 0.0, 0.02)) == bits(_rk4_generic(rhs, t, s, 0.0, 0.02))
+
+
+@pytest.mark.parametrize("spec", [type1_spec(), type2_spec()], ids=["type-1", "type-2"])
+def test_rhs_at_each_thrust_seam_matches_the_readable_model(spec):
+    """With the burnout gate open the stage chain alone picks the stage: the
+    interceptor and profile RHS burn as ``interceptor_derivatives`` does."""
+    missile, profile = make_interceptor_rhs(spec), profile_rhs(spec, 1.0)
+    mass = spec.burnout_mass + 1.0
+    for t in THRUST_SEAM_TIMES:
+        s = InterceptorState(t=t, x=0.0, y=4_000.0, z=0.0, v=600.0, theta=1.0, w=0.0, n=0.0,
+                             mass=mass)
+        readable = interceptor_derivatives(s, 2.0, spec)
+        fast = missile(t, s.as_vector(), 2.0)
+        assert fast == pytest.approx(tuple(readable), rel=1e-12)
+        dv, dh, dmass, dpath = profile(t, (600.0, 4_000.0, mass, 0.0), 0.0)
+        assert (dv, dh) == pytest.approx((readable.v, readable.y), rel=1e-12)
+        assert fast[7] == dmass == readable.mass == -spec.thrust_and_flow(t)[1]
+        assert dpath == 600.0
+
+
+@pytest.mark.parametrize("spec", [type1_spec(), type2_spec()], ids=["type-1", "type-2"])
+def test_fused_steps_at_each_thrust_seam(spec):
+    """With the burnout gate open, a step whose k1, k2 and k3, or k4 falls
+    on or beside a seam has the reference step's bits, in both kernels."""
+    missile, profile = make_interceptor_rhs(spec), profile_rhs(spec, 1.0)
+    mass = spec.burnout_mass + 1.0
+    for seam in THRUST_SEAM_TIMES:
+        for t in (seam, seam - 0.01, seam - 0.02):
+            for rhs, s in ((missile, (0.0, 4_000.0, 0.0, 600.0, 1.0, 0.0, 1.0, mass)),
+                           (profile, (600.0, 4_000.0, mass, 0.0))):
+                assert outcome(rk4_step, rhs, t, s, 2.0, 0.02) == outcome(
+                    _rk4_generic, rhs, t, s, 2.0, 0.02)
 
 
 def stalling(v):
@@ -499,9 +538,11 @@ def test_a_nan_table_entry_never_reaches_a_kernel():
 
 
 KERNELS = Path(__file__).parent / "kernels"
-# the stock tables each kernel flies on
+# the stock tables each kernel flies on, and the stages of a stock spec:
+# type 2's three, so the snapshots show a chain of seams
 STOCK_DRAG = {"vehicle": vehicle_drag_model(), "interceptor": interceptor_drag_model(),
               "profile": interceptor_drag_model()}
+STOCK_STAGES = {"vehicle": (), "interceptor": type2_spec().stages, "profile": type2_spec().stages}
 REWRITE = (
     "PYTHONPATH=src:tests python -c \"import test_dynamics as t; "
     "[(t.KERNELS / f'{n}.txt').write_text(t.stock_source(n)) for n in t.STOCK_DRAG]\""
@@ -509,7 +550,8 @@ REWRITE = (
 
 
 def stock_source(name):
-    return _kernel_source(name, DEFAULT_ATMOSPHERE.vs_branches, STOCK_DRAG[name].segments)
+    return _kernel_source(name, DEFAULT_ATMOSPHERE.vs_branches, STOCK_DRAG[name].segments,
+                          tuple(stage[1] for stage in STOCK_STAGES[name]))
 
 
 @pytest.mark.parametrize("name", dynamics._KERNELS)
@@ -571,6 +613,15 @@ def test_a_calibrated_noise_batch_compiles_its_kernel_once():
         batch_run_results(scenario)
     densities = {call.args[1].rho0 for call in built.call_args_list}
     assert len(densities) >= scenario.runs
+    assert compiled.call_count == 1
+
+
+@pytest.mark.parametrize("calibrate", [interceptor.calibrate_type1, interceptor.calibrate_type2])
+def test_a_calibration_compiles_its_profile_kernel_once(calibrate):
+    # the fits vary stage thrust, an argument of the kernel, never a seam
+    with mock.patch.dict(dynamics._FACTORIES, clear=True), \
+            mock.patch.object(dynamics, "compile", wraps=compile, create=True) as compiled:
+        calibrate()
     assert compiled.call_count == 1
 
 

@@ -1,22 +1,21 @@
+import hashlib
 import math
 import pickle
 import statistics
 from collections import Counter
-from dataclasses import replace
+from dataclasses import astuple, replace
 from unittest import mock
 
 import numpy as np
 import pytest
 
 from reentrysim import dynamics, engagement, interceptor
-from reentrysim.dynamics import IntegratorConfig
 from reentrysim.engagement import (
     GaussianStream,
     InterceptorSite,
     MISS_NONE,
     NoiseConfig,
     RunResult,
-    Scenario,
     batch_run_results,
     error_vs_navigation_sweep,
     monte_carlo_batch,
@@ -34,6 +33,15 @@ from reentrysim.presets import (
     scenario_for_range,
     terminal_engagement_scenario,
 )
+
+
+def float_bits(value):
+    """``value`` with every float, in tuples too, as its ``hex`` string."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, tuple):
+        return tuple(map(float_bits, value))
+    return value
 
 
 def run_pickles(results) -> list:
@@ -487,6 +495,49 @@ class TestEngagement:
         assert calls
         assert any(label.startswith("launch:") for _, label in plain.events)
         assert spied == plain
+
+    def test_without_evasion_no_step_calls_the_controller(self):
+        sc = terminal_engagement_scenario(700.0, "type-1")
+        command = engagement.EvasionController.command
+        calls = []
+
+        def spy(self, *args):
+            calls.append(args)
+            return command(self, *args)
+
+        with mock.patch.object(engagement.EvasionController, "command", spy):
+            simulate_engagement(sc)
+            assert not calls
+            simulate_engagement(replace(sc, evasion=replace(sc.evasion, enabled=True)))
+        assert calls
+
+    # type 1 at 9,100 m plans a launch at 22.557 s and type 2 at 10,220 m at
+    # 22.542 s, both due on step 1128 (22.56 s); type 1 at 6,000 m plans one
+    # for step 538
+    TYPE1_TIED = InterceptorSite(x=9_100.0, kind="type-1")
+    TYPE2 = InterceptorSite(x=10_220.0, kind="type-2")
+    TYPE1_EARLY = InterceptorSite(x=6_000.0, kind="type-1")
+
+    @pytest.mark.parametrize("sites, launches, digest", [
+        ((TYPE1_TIED, TYPE2), [(1128, "type-1"), (1128, "type-2")],
+         "4e9ef28b9f07463d0a7c7361f9125cbfc69ff984bf53a5e12cccd62c798a9dda"),
+        ((TYPE2, TYPE1_TIED), [(1128, "type-2"), (1128, "type-1")],
+         "6a3c64823fbc454dc7e8b39bdfd0e8af2f6c56e679db85ee705844fb1e094416"),
+        ((TYPE2, TYPE1_EARLY), [(538, "type-1"), (1128, "type-2")],
+         "a5beec28c6d31dda8237a449a7b022a4a842e4dad1389761b978153bac5a3c9e"),
+    ])
+    def test_launches_log_on_their_due_step_in_site_order(self, sites, launches, digest):
+        """Launches due on one step log in site order, whichever plan is
+        earlier.  ``digest`` is the sha256 of each run's fields, every float
+        as its bits, as the launch scan that ran on every step produced them."""
+        base = replace(terminal_engagement_scenario(1000.0, "type-1"),
+                       noise=CALIBRATED_NOISE, runs=4, seed=3)
+        results = batch_run_results(replace(base, sites=sites))
+        for r in results:
+            logged = [(t, label) for t, label in r.events if label.startswith("launch:")]
+            assert logged == [(k * 0.02, f"launch:{kind}") for k, kind in launches]
+        fingerprint = repr([float_bits(astuple(r)) for r in results])
+        assert hashlib.sha256(fingerprint.encode()).hexdigest() == digest
 
     def test_evasion_degrades_the_intercept(self):
         base = replace(terminal_engagement_scenario(2000.0, "type-1"), runs=20, noise=CALIBRATED_NOISE)
