@@ -31,9 +31,12 @@ and lags by ``INTERCEPTOR_LAG_TIME``:
     dmass/dt = -mass_flow(t)
 
 Integration is classical fixed-step RK4 with the command held constant
-across a step (zero-order hold), in one step loop, ``_drive``, behind the
-public ``integrate_until`` and every flight of ``engagement._fly``.  It
-ends on ground impact (touchdown state linearly interpolated inside the
+across a step (zero-order hold), in the reference step loop, ``_drive``,
+behind the public ``integrate_until``, defended runs and any flight of
+``engagement._fly`` whose RHS is not the generated one; vehicle-only runs
+take ``engagement``'s generated run loop, which is ``_drive``, the
+guidance control and the fused step in one function, pinned to them.  A
+loop ends on ground impact (touchdown state linearly interpolated inside the
 final step), on its caller's hook (a stop event, an intercept), or on
 timeout; timeout is a result, not an error.  A non-finite start is an
 argument error; a state that turns non-finite, or a speed below
@@ -41,7 +44,8 @@ argument error; a state that turns non-finite, or a speed below
 
 The RHS of the step loops (vehicle, interceptor and the pinned-pitch
 profile) are generated, each with its fused RK4 step, from one stage
-template (:func:`_kernel_source`) specialised to the speed-of-sound and
+template (:func:`_kernel_source`; the run loop inlines the vehicle's
+step from the same :func:`_rk4_lines`) specialised to the speed-of-sound and
 drag tables and the thrust-stage seams, compiled once per process and
 set; ``vehicle_derivatives`` and ``interceptor_derivatives`` are the
 readable references they are pinned to.
@@ -192,11 +196,14 @@ def make_vehicle_rhs(
     :func:`_kernel_source`), compiled once per table set.  The step covers
     the live components (x, h, v, theta, n) with the bits of
     :func:`_rk4_generic`, which replays it on any error and so raises the
-    RHS's :class:`IntegrationAbort`.
+    RHS's :class:`IntegrationAbort`.  The RHS also carries what it was
+    generated over, ``rhs.made_from = (env, drag, free)``, from which
+    ``engagement`` generates its run loop over the same tables and arguments.
     """
-    return _generated_rhs("vehicle", env, spec.drag, g=g,
-                          area_over_2m=spec.wing_area / (2.0 * spec.mass),
-                          inv_lag=1.0 / spec.lag_time)
+    free = dict(g=g, area_over_2m=spec.wing_area / (2.0 * spec.mass), inv_lag=1.0 / spec.lag_time)
+    rhs = _generated_rhs("vehicle", env, spec.drag, **free)
+    rhs.made_from = (env, spec.drag, free)
+    return rhs
 
 
 def interceptor_derivatives(
@@ -382,63 +389,96 @@ if not isfinite(va):
 _REPLAY = "return _rk4_generic(rhs, t, y, u, dt)"
 
 
-def _kernel_source(name: str, vs_branches: tuple, segments: tuple, ends: tuple = ()) -> str:
-    """Source of ``make(rho0, k_decay, cx_floor, mach_cap, *, <free>)``,
-    which returns the RHS ``rhs(t, y, u)`` of kernel ``name`` carrying its
-    fused RK4 step as ``rhs.rk4_step(t, y, u, dt)``.
+def _stage(name: str, vs_branches: tuple, segments: tuple, ends: tuple) -> Callable:
+    """``stage(k, ts)``: the lines of one stage of kernel ``name`` at time
+    ``ts``, its derivatives named ``<k><i>``: the kernel's guard, the shared
+    atmosphere and drag lookup (both tables as :func:`_chain` lines, in the
+    readable model's operand order), and its derivative lines.  A kernel
+    with thrust stages finds the stage by the :func:`_stage_chain` over
+    their ``ends``."""
+    kernel = _KERNELS[name]
+    chains = dict(vs_chain=_chain("h_km", vs_branches, "vs = {} + {} * (h_km - {})"),
+                  cx_chain=_chain("m", segments, "cx = ({} * m + {}) * m + {}"))
+    return lambda k, ts: (kernel["guard"] + _LOOKUP + kernel["rates"]).format(
+        k=k, stage_chain=_stage_chain(ts, ends), **chains, **kernel)
 
-    A stage is the kernel's guard, the shared atmosphere and drag lookup
-    (both tables as :func:`_chain` lines, in the readable model's operand
-    order), and its derivative lines.  A kernel with thrust stages takes
-    ``stages``, whose thrusts and flows ``make`` binds, and finds the stage
-    by the :func:`_stage_chain` over their ``ends``.  The RHS is stage 1 over
-    the unpacked state, with its ``raise`` lines; a component whose
-    derivative is always 0 returns ``0.0``.  The step inlines the stage four
-    times, each ``raise`` rewritten to replay the step through
-    :func:`_rk4_generic`, which raises the RHS's error.  Stage inputs, outputs and the non-finite
-    sum keep the reference step's operand order, so the step has its bits;
-    a zero derivative passes through as ``y + sixth * 0.0``.
-    ``tests/kernels/`` holds the sources over the stock tables.
-    """
+
+def _live(name: str) -> set:
+    """The state components of kernel ``name`` with a derivative line."""
+    return {int(i) for i in re.findall(r"^\{k\}(\d+) =", _KERNELS[name]["rates"], re.M)}
+
+
+def _rk4_lines(name: str, vs_branches: tuple, segments: tuple, ends: tuple, replay: str) -> list:
+    """The fused RK4 step of kernel ``name`` over the state unpacked as
+    ``y0, y1, ...`` at (t, u, dt), from ``h2 = 0.5 * dt`` to the new state
+    ``o0, o1, ...`` and its non-finite check: the :func:`_stage` inlined four
+    times, each ``raise`` line and the check's body replaced by the
+    ``replay`` lines, at the indentation of the line they replace.  Stage
+    inputs, outputs and the non-finite sum keep the reference step's
+    operand order, so the step has its bits; a zero derivative passes
+    through as ``y + sixth * 0.0``.  The fused step of :func:`_kernel_source`
+    and engagement's run loop are both these lines."""
     kernel = _KERNELS[name]
     state, inputs = kernel["state"].split(), kernel["inputs"].split()
     at = {c: state.index(c) for c in inputs}
-    live = {int(i) for i in re.findall(r"^\{k\}(\d+) =", kernel["rates"], re.M)}
-    chains = dict(vs_chain=_chain("h_km", vs_branches, "vs = {} + {} * (h_km - {})"),
-                  cx_chain=_chain("m", segments, "cx = ({} * m + {}) * m + {}"))
+    live = _live(name)
+    stage = _stage(name, vs_branches, segments, ends)
 
-    def stage(k, ts):
-        return (kernel["guard"] + _LOOKUP + kernel["rates"]).format(
-            k=k, stage_chain=_stage_chain(ts, ends), **chains, **kernel)
+    def replaying(text):
+        return re.sub(r"^( *)raise .*", lambda m: textwrap.indent(replay, m.group(1)), text,
+                      flags=re.M)
 
-    rates = ", ".join(f"a{i}" if i in live else "0.0" for i in range(len(state)))
-    rhs = [f"{', '.join(state)} = y", stage("a", "t"), f"return ({rates})"]
-    ys, outs = ([f"{p}{i}" for i in range(len(state))] for p in "yo")
-    body = [f"{', '.join(ys)} = y", "h2 = 0.5 * dt", "# stage 1 at (t, y)",
-            f"{', '.join(inputs)} = {', '.join(ys[at[c]] for c in inputs)}"]
+    body = ["h2 = 0.5 * dt", "# stage 1 at (t, y)",
+            f"{', '.join(inputs)} = {', '.join(f'y{at[c]}' for c in inputs)}"]
     for s, (k, ts) in enumerate(zip("abcd", ("t", "t + h2", "t + h2", "t + dt"))):
         if s:
             scale = "dt" if s == 3 else "h2"
             body.append(f"# stage {s + 1} at ({ts}, y + {scale} * k{s})")
             body += [f"{c} = y{at[c]} + {scale} * {'abc'[s - 1]}{at[c]}" for c in inputs]
-        body.append(re.sub(r"raise .*", _REPLAY, stage(k, ts)))
+        body.append(replaying(stage(k, ts)))
     body.append("sixth = dt / 6.0")
     for i in range(len(state)):
         rate = f"(a{i} + 2.0 * (b{i} + c{i}) + d{i})" if i in live else "0.0"
         body.append(f"o{i} = y{i} + sixth * {rate}")
-    body += [f"if not isfinite({' + '.join(outs)}):", "    " + _REPLAY,
-             f"return ({', '.join(outs)})"]
+    body += [f"if not isfinite({' + '.join(f'o{i}' for i in range(len(state)))}):",
+             textwrap.indent(replay, "    ")]
+    return body
 
-    def indent(lines):
-        return textwrap.indent("\n".join(line.rstrip("\n") for line in lines), " " * 8)
 
+def _indent(lines, depth: int) -> str:
+    """``lines`` (each one or more lines of source) joined, at ``depth`` levels."""
+    return textwrap.indent("\n".join(line.rstrip("\n") for line in lines), "    " * depth)
+
+
+def _kernel_source(name: str, vs_branches: tuple, segments: tuple, ends: tuple = ()) -> str:
+    """Source of ``make(rho0, k_decay, cx_floor, mach_cap, *, <free>)``,
+    which returns the RHS ``rhs(t, y, u)`` of kernel ``name`` carrying its
+    fused RK4 step as ``rhs.rk4_step(t, y, u, dt)``.
+
+    A kernel with thrust stages takes ``stages``, whose thrusts and flows
+    ``make`` binds.  The RHS is :func:`_stage` 1 over the unpacked state,
+    with its ``raise`` lines; a component whose derivative is always 0
+    returns ``0.0``.  The step is the :func:`_rk4_lines`, each ``raise``
+    rewritten to replay the step through :func:`_rk4_generic`, which raises
+    the RHS's error.  ``tests/kernels/`` holds the sources over the stock
+    tables.
+    """
+    kernel = _KERNELS[name]
+    state = kernel["state"].split()
+    live = _live(name)
+    rates = ", ".join(f"a{i}" if i in live else "0.0" for i in range(len(state)))
+    rhs = [f"{', '.join(state)} = y", _stage(name, vs_branches, segments, ends)("a", "t"),
+           f"return ({rates})"]
+    ys, outs = (", ".join(f"{p}{i}" for i in range(len(state))) for p in "yo")
+    body = [f"{ys} = y", *_rk4_lines(name, vs_branches, segments, ends, _REPLAY),
+            f"return ({outs})"]
     staged = "stages" in kernel["free"]
     bind = ", ".join(f"(_, _, thrust_{i}, flow_{i})" for i in range(len(ends)))
     return (
         f"def make(rho0, k_decay, cx_floor, mach_cap, *, {kernel['free']}):\n"
         + (f"    [{bind}] = stages\n" if staged else "")
-        + f"    def rhs(t, y, u):\n{indent(rhs)}\n\n"
-        f"    def {name}_rk4_step(t, y, u, dt):\n{indent(body)}\n\n"
+        + f"    def rhs(t, y, u):\n{_indent(rhs, 2)}\n\n"
+        f"    def {name}_rk4_step(t, y, u, dt):\n{_indent(body, 2)}\n\n"
         f"    rhs.rk4_step = {name}_rk4_step\n    return rhs\n"
     )
 
@@ -446,24 +486,29 @@ def _kernel_source(name: str, vs_branches: tuple, segments: tuple, ends: tuple =
 _FACTORIES: dict = {}
 
 
-def _kernel_factory(name: str, vs_branches: tuple, segments: tuple, ends: tuple) -> Callable:
+def _kernel_factory(name: str, vs_branches: tuple, segments: tuple, ends: tuple,
+                    source: Callable = _kernel_source) -> Callable:
     """The compiled ``make`` of kernel ``name`` over these tables and stage
     ends, once per process and set (keyed by ``repr``, which tells -0.0 from
-    0.0), and in ``linecache`` under its own name so tracebacks show its lines."""
+    0.0), and in ``linecache`` under its own name so tracebacks show its lines.
+    ``source(name, vs_branches, segments, ends)`` writes it: a kernel's, or
+    engagement's run loop.  All of them run in this module's namespace."""
     key = (name, repr(vs_branches), repr(segments), repr(ends))
     if key not in _FACTORIES:
-        source = _kernel_source(name, vs_branches, segments, ends)
-        crc = zlib.crc32(source.encode())
+        text = source(name, vs_branches, segments, ends)
+        crc = zlib.crc32(text.encode())
         filename = f"<reentrysim.dynamics generated {name} kernel {crc:08x}>"
-        linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+        linecache.cache[filename] = (len(text), None, text.splitlines(True), filename)
         namespace = {}
-        exec(compile(source, filename, "exec"), globals(), namespace)
+        exec(compile(text, filename, "exec"), globals(), namespace)
         _FACTORIES[key] = namespace["make"]
     return _FACTORIES[key]
 
 
-def _generated_rhs(name: str, env: AtmosphereModel, drag: DragModel, **free) -> Callable:
-    """The RHS of kernel ``name`` over ``env`` and ``drag``, with its fused step.
+def _generated_rhs(name: str, env: AtmosphereModel, drag: DragModel,
+                   source: Callable = _kernel_source, **free) -> Callable:
+    """The RHS of kernel ``name`` over ``env`` and ``drag``, with its fused
+    step; with another ``source``, what that source's ``make`` returns.
 
     The tables and the ends of any thrust ``stages`` are compiled into the
     kernel; the density, ``cx_floor``, ``mach_cap`` and ``free``, stage
@@ -472,7 +517,7 @@ def _generated_rhs(name: str, env: AtmosphereModel, drag: DragModel, **free) -> 
     differ only in thrust share one compiled kernel.
     """
     ends = tuple(stage[1] for stage in free.get("stages", ()))
-    return _kernel_factory(name, env.vs_branches, drag.segments, ends)(
+    return _kernel_factory(name, env.vs_branches, drag.segments, ends, source)(
         env.rho0, env.k_decay, drag.cx_floor, drag.mach_cap, **free)
 
 
@@ -491,6 +536,16 @@ class Trajectory:
     steps: int
 
 
+def _schedule(t0, config, sample_interval) -> tuple:
+    """``(dt, stride, n_max)`` of a step loop from ``t0``: the step, the
+    sample stride in steps (0: no samples) and the steps to timeout."""
+    if sample_interval is not None and not 0.0 < sample_interval < inf:
+        raise DomainError(f"sample_interval must be finite and > 0, got {sample_interval}")
+    dt = config.dt
+    stride = 0 if sample_interval is None else max(1, round(sample_interval / dt))
+    return dt, stride, max(1, math.ceil((config.t_max - t0) / dt - 1e-9))
+
+
 def _drive(step, command, t0, y0, config, sample_interval=None, after_step=None) -> tuple:
     """The one step loop: ``step(t, y, u, dt)`` from (t0, y0) with
     ``command(t, y)`` held across each step, until ground impact (the
@@ -502,11 +557,7 @@ def _drive(step, command, t0, y0, config, sample_interval=None, after_step=None)
     and ``samples`` the (t, y, u) rows every ``sample_interval`` (if set),
     rounded to whole steps, plus the end row.
     """
-    if sample_interval is not None and not 0.0 < sample_interval < inf:
-        raise DomainError(f"sample_interval must be finite and > 0, got {sample_interval}")
-    dt = config.dt
-    stride = 0 if sample_interval is None else max(1, round(sample_interval / dt))
-    n_max = max(1, math.ceil((config.t_max - t0) / dt - 1e-9))
+    dt, stride, n_max = _schedule(t0, config, sample_interval)
     y = tuple(y0)
     samples = []
     for k in range(n_max):
@@ -551,8 +602,8 @@ def integrate_until(
     state without interpolation, and ground impact wins a tie.
 
     ``t0`` must be finite and below ``config.t_max``, and ``y0`` finite.
-    The public front of :func:`_drive`, the loop that every flight of
-    ``engagement._fly`` also steps through.
+    The public front of :func:`_drive`, the reference step loop, which
+    defended runs of ``engagement._fly`` also step through.
     """
     if not -inf < t0 < config.t_max:
         raise DomainError(f"t0 must be finite and < t_max ({config.t_max}), got {t0}")

@@ -7,11 +7,13 @@ count.  Three noise channels ride separate substreams per run (density
 multiplier, load-factor turbulence, seeker boresight), which keeps the
 draw sequences aligned across scenario variants sharing a seed.
 
-Every flight steps through the one loop, ``dynamics._drive``, by way of
-``_fly``, which turns the loop's end into a run result: vehicle-only runs,
-the noise-free track that launch planning reads, and defended runs, which
-hook their launches and evasion into the command and their missiles into
-each step.
+``_fly`` flies every run and turns its step loop's end into a run result.
+Vehicle-only runs and the noise-free track that launch planning reads
+take the generated run loop (``_run_loop_source``): ``dynamics._drive``,
+``_VehicleControl`` with its draws and the vehicle kernel's fused step in
+one function, pinned bit for bit to that reference path, which any other
+RHS still takes.  Defended runs hook their launches and evasion into the
+command and their missiles into each step of ``dynamics._drive``.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import math
 import operator
 import statistics
+import textwrap
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
 from typing import NamedTuple
@@ -29,6 +32,9 @@ from .dynamics import (
     VehicleSpec,
     VehicleState,
     _drive,
+    _generated_rhs,
+    _indent,
+    _rk4_lines,
     make_interceptor_rhs,
     make_vehicle_rhs,
     rk4_step,
@@ -64,6 +70,7 @@ _GRAVITATIONAL = GuidancePhase.GRAVITATIONAL
 _PULL_UP = GuidancePhase.PULL_UP
 _ALTITUDE_HOLD = GuidancePhase.ALTITUDE_HOLD
 _TERMINAL = GuidancePhase.TERMINAL
+_PHASES = (_GRAVITATIONAL, _PULL_UP, _ALTITUDE_HOLD, _TERMINAL)
 
 
 class GaussianStream:
@@ -270,7 +277,9 @@ class _VehicleControl:
     Transitions chain within one call: a state past several switch points
     enters the last phase they lead to, and only that phase gets an event.
     Draws seeker noise only when the boresight angle is actually
-    evaluated, and turbulence once per step.
+    evaluated, and turbulence once per step.  The readable reference of the
+    generated run loop (:func:`_run_loop_source`), which applies it inline
+    and writes its phase, ``terminal_t`` and events back into it.
     """
 
     def __init__(self, scenario: Scenario, stream: GaussianStream | None):
@@ -336,6 +345,163 @@ class _VehicleControl:
         return u
 
 
+# --------------------------------------------------------------------------
+# The vehicle-only run in one frame: dynamics._drive, _VehicleControl.__call__
+# with its GaussianStream.gaussian draws, and the vehicle kernel's fused step,
+# generated together (see _run_loop_source).
+
+# wrap_angle and _VehicleControl._alpha's seeker draw
+_ALPHA = """\
+alpha = fmod(atan2(ty - h, tx - x) - theta, two_pi)
+if alpha > pi:
+    alpha -= two_pi
+elif alpha <= -pi:
+    alpha += two_pi
+if eyes is not None:
+{draw}"""
+
+# GaussianStream.gaussian(0.0, sigma) over the stream's bound buffer, which
+# _refill fills in place
+_DRAW = """\
+if len({stream}_buf) < 2:
+    {stream}._refill()
+u1 = {stream}_buf.pop()
+while u1 == 0.0:
+    if len({stream}_buf) < 2:
+        {stream}._refill()
+    u1 = {stream}_buf.pop()
+u2 = {stream}_buf.pop()
+z = sqrt(-2.0 * log(u1)) * cos(two_pi * u2)
+{out} += 0.0 + {stream}_sigma * z"""
+
+_RUN_LOOP = """\
+def make(rho0, k_decay, cx_floor, mach_cap, *, area_over_2m, g, inv_lag, phases):
+    GRAVITATIONAL, PULL_UP, ALTITUDE_HOLD, TERMINAL = phases
+
+    def {name}(rhs, control, t0, y, config, sample_interval):
+        dt, stride, n_max = _schedule(t0, config, sample_interval)
+        atan2, fmod, hypot, log, sqrt = math.atan2, math.fmod, math.hypot, math.log, math.sqrt
+        pi = math.pi
+        two_pi = 2.0 * pi
+        # the control's settings, streams and phase, read once
+        cfg, seeker, events = control.cfg, control.seeker, control.events
+        tx, ty = control.target
+        cos_law = cfg.gravitational_cos_theta
+        pullup_altitude, pullup_g_radius = cfg.pullup_start_altitude, control.g * cfg.pullup_radius
+        hold_altitude, hold_floor = cfg.hold_altitude, cfg.hold_altitude + cfg.hold_band
+        hold_gain, terminal_gain = cfg.hold_gain, cfg.terminal_gain
+        u_max, u_min = cfg.u_max, -cfg.u_max
+        window_altitude, window_range = seeker.activation_altitude, seeker.activation_range
+        field_of_regard = seeker.field_of_regard
+        eyes, eyes_sigma = control.eyes, control.seeker_sigma
+        eyes_buf = eyes._buf if eyes is not None else None
+        turb, turb_sigma = control.turb, control.turb_sigma
+        turb_buf = turb._buf if turb is not None else None
+        phase = control.phase
+        {ys} = y
+        samples = []
+        for k in range(n_max):
+            t = t0 + k * dt
+            # the command at (t, y)
+            x, h, v, theta = y0, y1, y3, y4
+            entered = phase
+            if phase is not TERMINAL and h <= window_altitude:
+                slant = hypot(tx - x, ty - h)
+                if 0.0 < slant <= window_range:
+{gate_alpha}
+                    if abs(alpha) <= field_of_regard:
+                        phase = TERMINAL
+                        control.terminal_t = t
+            if phase is GRAVITATIONAL and h < pullup_altitude:
+                phase = PULL_UP
+            if phase is PULL_UP and (h < hold_floor or theta >= 0.0):
+                phase = ALTITUDE_HOLD
+            if phase is not entered:
+                control.phase = phase
+                events.append((t, f"phase:{{phase.name}}"))
+            if phase is GRAVITATIONAL:
+                u = cos(theta) if cos_law else 0.0
+            elif phase is PULL_UP:
+                u = v * v / pullup_g_radius + cos(theta)
+            elif phase is ALTITUDE_HOLD:
+                u = hold_gain * (hold_altitude - h) + cos(theta)
+            else:
+{law_alpha}
+                u = terminal_gain * alpha
+            if turb is not None:
+{turbulence}
+            if u > u_max:
+                u = u_max
+            elif u < u_min:
+                u = u_min
+            if stride and k % stride == 0:
+                samples.append((t, ({ys}), u))
+            while True:  # the fused step; a replay breaks out with its state
+{step}
+                break
+            if o1 <= 0.0 < y1:
+                frac = y1 / (y1 - o1)
+{touchdown}
+                end, t = "ground", t + frac * dt
+                break
+            {ys} = {outs}
+        else:
+            end, t = "timeout", t0 + n_max * dt
+        y = ({ys})
+        if stride:
+            samples.append((t, y, u))
+        return end, t, y, samples, k + 1
+
+    return {name}
+"""
+
+
+def _run_loop_source(name: str, vs_branches: tuple, segments: tuple, ends: tuple = ()) -> str:
+    """Source of ``make(rho0, k_decay, cx_floor, mach_cap, *, area_over_2m,
+    g, inv_lag, phases)``, the vehicle kernel's ``make`` plus the
+    :class:`GuidancePhase` members in order, which returns the run loop
+    ``name(rhs, control, t0, y, config, sample_interval)``.
+
+    The loop is :func:`~reentrysim.dynamics._drive` with a
+    :class:`_VehicleControl` as its command and the vehicle kernel's fused
+    step, in one frame: the state lives in locals ``y0``..``y6``, the
+    control's settings are read once per run, and its phase machine,
+    ``wrap_angle`` and the Box-Muller draws of its streams are inline, in
+    the reference's operand order.  The step is the kernel's own
+    :func:`~reentrysim.dynamics._rk4_lines` over the stock or any other
+    tables; each ``raise`` and the non-finite check replay the step through
+    ``_rk4_generic``, looked up at call time in the kernels' namespace, and
+    continue with its value, or its :class:`IntegrationAbort` propagates.
+    The loop writes ``phase``, ``terminal_t`` and each ``phase:`` event into
+    the control as the control would, and returns what ``_drive`` returns.
+    ``tests/kernels/vehicle_run.txt`` holds the source over the stock tables.
+    """
+    ys, outs = (", ".join(f"{p}{i}" for i in range(7)) for p in "yo")
+    replay = f"{outs} = _rk4_generic(rhs, t, ({ys}), u, dt)\nbreak"
+    alpha = _ALPHA.format(draw=textwrap.indent(_DRAW.format(stream="eyes", out="alpha"), "    "))
+    return _RUN_LOOP.format(
+        name=name, ys=ys, outs=outs,
+        gate_alpha=_indent([alpha], 5), law_alpha=_indent([alpha], 4),
+        turbulence=_indent([_DRAW.format(stream="turb", out="u")], 4),
+        step=_indent(_rk4_lines("vehicle", vs_branches, segments, ends, replay), 4),
+        touchdown=_indent([f"y{i} = y{i} + frac * (o{i} - y{i})" for i in range(7)], 4),
+    )
+
+
+def _run_loop(rhs):
+    """The run loop generated over the tables and arguments of ``rhs`` when
+    it is :func:`make_vehicle_rhs`'s generated RHS, which carries
+    ``rhs.made_from``; None for any other RHS (a timer wrapped around it,
+    say), which steps through ``_drive``.  Compiled once per process and
+    table set, on the first run that asks."""
+    made_from = getattr(rhs, "made_from", None)
+    if made_from is None:
+        return None
+    env, drag, free = made_from
+    return _generated_rhs("vehicle_run", env, drag, source=_run_loop_source, phases=_PHASES,
+                          **free)
+
+
 def _ended(control, t, label, touchdown=None, landing_error=math.nan, intercepted=False,
            miss_distance=MISS_NONE, failed=None, samples=()) -> RunResult:
     """End a run at time t: log ``label`` and build the run's result."""
@@ -346,19 +512,27 @@ def _ended(control, t, label, touchdown=None, landing_error=math.nan, intercepte
 
 
 def _fly(scenario, rhs, control, command=None, after_step=None, sample_interval=None) -> RunResult:
-    """Fly the scenario through :func:`~reentrysim.dynamics._drive` and turn
-    its end into the run's result: touchdown, timeout, an abort, or the
-    result ``after_step`` ended the run with.  ``command`` defaults to
-    ``control``; with ``sample_interval`` set, the result carries the
-    loop's (t, state, u) rows.  The step is bound here: the RHS's fused
-    ``rhs.rk4_step``, or else this module's :func:`rk4_step` on the RHS
-    (a timer wrapped around it, say), the name the benchmark's trace wraps.
+    """Fly the scenario and turn the step loop's end into the run's result:
+    touchdown, timeout, an abort, or the result ``after_step`` ended the
+    run with.  ``command`` defaults to ``control``; with ``sample_interval``
+    set, the result carries the loop's (t, state, u) rows.
+
+    A vehicle-only flight (no ``command`` or ``after_step``) of the
+    generated RHS takes its generated :func:`_run_loop`; any other flies
+    through :func:`~reentrysim.dynamics._drive` with the step bound here:
+    the RHS's fused ``rhs.rk4_step``, or else this module's :func:`rk4_step`
+    on the RHS (a timer wrapped around it, say), the name the benchmark's
+    trace wraps.
     """
-    step = getattr(rhs, "rk4_step", None) or partial(rk4_step, rhs)
+    t0, y0, config = scenario.entry.t, scenario.entry.as_vector(), scenario.integrator
+    run = _run_loop(rhs) if command is None and after_step is None else None
     try:
-        end, t, y, samples, _ = _drive(
-            step, control if command is None else command, scenario.entry.t,
-            scenario.entry.as_vector(), scenario.integrator, sample_interval, after_step)
+        if run is not None:
+            end, t, y, samples, _ = run(rhs, control, t0, y0, config, sample_interval)
+        else:
+            step = getattr(rhs, "rk4_step", None) or partial(rk4_step, rhs)
+            end, t, y, samples, _ = _drive(step, control if command is None else command,
+                                           t0, y0, config, sample_interval, after_step)
     except IntegrationAbort as abort:
         return _ended(control, abort.t, f"failed:{abort.reason}", failed=abort.reason)
     if isinstance(end, RunResult):
@@ -581,14 +755,17 @@ def batch_run_results(scenario: Scenario, workers: int | None = None) -> tuple:
     Run i draws from substream i of the scenario seed, so the result
     tuple is reproducible for any worker count.  With more than one worker
     and run, the runs fan out over a process pool; ``multiprocessing`` and
-    ``numpy.random`` load only then, in this process before it forks, so
-    every worker starts with the generator module a noisy run draws from.
+    ``numpy.random`` load only then, in this process before it forks, and
+    the vehicle kernel and run loop compile here too, so every worker starts
+    with the generator module a noisy run draws from and the code it flies.
     """
     jobs = [(scenario, i) for i in range(scenario.runs)]
     if workers is not None and workers > 1 and len(jobs) > 1:
         from multiprocessing import Pool
 
         import numpy.random  # noqa: F401  (the forked workers inherit it)
+
+        _run_loop(make_vehicle_rhs(scenario.vehicle, scenario.atmosphere, scenario.integrator.g))
 
         with Pool(processes=min(workers, len(jobs))) as pool:
             results = pool.map(_run_indexed, jobs, chunksize=max(1, len(jobs) // (4 * workers)))

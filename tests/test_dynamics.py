@@ -34,7 +34,7 @@ from reentrysim.aero import (
     interceptor_drag_model,
     vehicle_drag_model,
 )
-from reentrysim.engagement import batch_run_results
+from reentrysim.engagement import _run_loop_source, batch_run_results
 from reentrysim.errors import ConfigError, DomainError, IntegrationAbort
 from reentrysim.interceptor import pinned_pitch_profile, type1_spec, type2_spec
 from reentrysim.presets import CALIBRATED_NOISE, scenario_for_range
@@ -539,10 +539,12 @@ def test_a_nan_table_entry_never_reaches_a_kernel():
 
 KERNELS = Path(__file__).parent / "kernels"
 # the stock tables each kernel flies on, and the stages of a stock spec:
-# type 2's three, so the snapshots show a chain of seams
+# type 2's three, so the snapshots show a chain of seams; engagement's run
+# loop inlines the vehicle kernel's step
 STOCK_DRAG = {"vehicle": vehicle_drag_model(), "interceptor": interceptor_drag_model(),
-              "profile": interceptor_drag_model()}
-STOCK_STAGES = {"vehicle": (), "interceptor": type2_spec().stages, "profile": type2_spec().stages}
+              "profile": interceptor_drag_model(), "vehicle_run": vehicle_drag_model()}
+STOCK_STAGES = {"vehicle": (), "interceptor": type2_spec().stages, "profile": type2_spec().stages,
+                "vehicle_run": ()}
 REWRITE = (
     "PYTHONPATH=src:tests python -c \"import test_dynamics as t; "
     "[(t.KERNELS / f'{n}.txt').write_text(t.stock_source(n)) for n in t.STOCK_DRAG]\""
@@ -550,11 +552,12 @@ REWRITE = (
 
 
 def stock_source(name):
-    return _kernel_source(name, DEFAULT_ATMOSPHERE.vs_branches, STOCK_DRAG[name].segments,
-                          tuple(stage[1] for stage in STOCK_STAGES[name]))
+    source = _run_loop_source if name == "vehicle_run" else _kernel_source
+    return source(name, DEFAULT_ATMOSPHERE.vs_branches, STOCK_DRAG[name].segments,
+                  tuple(stage[1] for stage in STOCK_STAGES[name]))
 
 
-@pytest.mark.parametrize("name", dynamics._KERNELS)
+@pytest.mark.parametrize("name", STOCK_DRAG)
 def test_generated_kernel_source_matches_its_snapshot(name):
     snapshot = (KERNELS / f"{name}.txt").read_text(encoding="utf-8")
     assert stock_source(name) == snapshot, (
@@ -606,6 +609,7 @@ def test_each_table_set_compiles_its_own_kernel_once():
 
 
 def test_a_calibrated_noise_batch_compiles_its_kernel_once():
+    """Once each: the vehicle kernel, and the run loop generated over it."""
     scenario = replace(scenario_for_range(615_000), noise=CALIBRATED_NOISE, runs=3, seed=5)
     with mock.patch.dict(dynamics._FACTORIES, clear=True), \
             mock.patch.object(dynamics, "compile", wraps=compile, create=True) as compiled, \
@@ -613,7 +617,8 @@ def test_a_calibrated_noise_batch_compiles_its_kernel_once():
         batch_run_results(scenario)
     densities = {call.args[1].rho0 for call in built.call_args_list}
     assert len(densities) >= scenario.runs
-    assert compiled.call_count == 1
+    assert sorted(call.args[1].split()[2] for call in compiled.call_args_list) == [
+        "vehicle", "vehicle_run"]
 
 
 @pytest.mark.parametrize("calibrate", [interceptor.calibrate_type1, interceptor.calibrate_type2])

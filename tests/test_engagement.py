@@ -393,6 +393,156 @@ class TestStepLoop:
         assert bound.events == dispatched.events
 
 
+def _reference_rhs(*args, **kwargs):
+    """The generated vehicle RHS without ``made_from``, so its flight steps
+    through ``_drive``, ``_VehicleControl`` and the fused step."""
+    rhs = dynamics.make_vehicle_rhs(*args, **kwargs)
+    del rhs.made_from
+    return rhs
+
+
+def _flown(sc, sample_interval=None):
+    if sample_interval is None:
+        return batch_run_results(sc)
+    return tuple(simulate_vehicle_run(sc, GaussianStream(sc.seed).substream(i), sample_interval)
+                 for i in range(sc.runs))
+
+
+def _pinned(sc, sample_interval=None):
+    """The runs of ``sc`` on the generated run loop, after checking that
+    their pickles equal the reference path's and that the loop called no
+    ``_VehicleControl``."""
+    call = engagement._VehicleControl.__call__
+    commands = []
+
+    def spy(self, t, y):
+        commands.append(t)
+        return call(self, t, y)
+
+    with mock.patch.object(engagement._VehicleControl, "__call__", spy):
+        looped = _flown(sc, sample_interval)
+        assert not commands
+        with mock.patch.object(engagement, "make_vehicle_rhs", _reference_rhs):
+            driven = _flown(sc, sample_interval)
+        assert commands
+    assert pickle.dumps(looped) == pickle.dumps(driven)
+    return looped
+
+
+def _channel(name):
+    return NoiseConfig(**{name: getattr(CALIBRATED_NOISE, name)})
+
+
+def _entry(rng, **changes):
+    sc = replace(scenario_for_range(rng), noise=CALIBRATED_NOISE, runs=2, seed=11)
+    return replace(sc, entry=replace(sc.entry, **changes))
+
+
+class TestRunLoop:
+    """A vehicle-only run of the generated RHS takes the generated run
+    loop, ``_drive``, ``_VehicleControl`` and the fused step in one frame;
+    its results must pickle to the bytes of the reference path, which an RHS
+    without ``made_from`` takes.  The traps it keeps:
+
+    - the draw adds ``0.0 + sigma * z``, so a -0.0 draw adds as +0.0;
+    - seeker draws happen only where alpha is evaluated, at the gate and
+      then in the law, so two on the acquisition step;
+    - a ``u1 == 0.0`` is redrawn, across a refill too (``_refill`` fills
+      ``_buf`` in place, so the loop's bound buffer stays valid);
+    - the clamp returns ``u_max`` itself;
+    - each sample row is ``(t, y, u)`` with the last command;
+    - ``t = t0 + k * dt`` for every step, never a running sum.
+    """
+
+    @pytest.mark.parametrize("noise", [NoiseConfig(), CALIBRATED_NOISE],
+                             ids=["quiet", "calibrated"])
+    @pytest.mark.parametrize("rng", PRESET_RANGES)
+    def test_every_preset(self, rng, noise):
+        _pinned(replace(scenario_for_range(rng), noise=noise, runs=2, seed=7))
+
+    @pytest.mark.parametrize("seed", [0, 7, 11])
+    @pytest.mark.parametrize("noise", [
+        NoiseConfig(), CALIBRATED_NOISE, _channel("atmosphere_density_sigma"),
+        _channel("turbulence_sigma"), _channel("seeker_angle_sigma"),
+    ], ids=["quiet", "calibrated", "density", "turbulence", "seeker"])
+    def test_each_noise_channel_and_seed(self, noise, seed):
+        """x950 flies all four phases; seeker noise alone draws only where
+        alpha is evaluated, two on the acquisition step."""
+        results = _pinned(replace(scenario_for_range(950_000), noise=noise, runs=2, seed=seed))
+        phases = [label for _, label in results[0].events if label.startswith("phase:")]
+        assert phases == ["phase:GRAVITATIONAL", "phase:PULL_UP", "phase:ALTITUDE_HOLD",
+                          "phase:TERMINAL"]
+
+    @pytest.mark.parametrize("sc", [
+        replace(scenario_for_range(950_000), noise=CALIBRATED_NOISE, runs=2, seed=11,
+                guidance=replace(range_preset(950_000).guidance(), gravitational_cos_theta=True)),
+        _entry(615_000, z=-0.0),
+        _entry(615_000, z=250.0),
+        _entry(615_000, t=1.3),
+    ], ids=["cos-theta-law", "z-negative-zero", "z-250-m", "t0-1.3-s"])
+    def test_entries_and_laws_sampled_every_step(self, sc):
+        """Each row is (t, y, u) at t0 + k * dt with that step's command,
+        and the touchdown row carries the last one."""
+        for r in _pinned(sc, sc.integrator.dt):
+            assert r.failed is None
+            assert [t for t, _, _ in r.samples[:-1]] == [
+                sc.entry.t + k * sc.integrator.dt for k in range(len(r.samples) - 1)]
+            assert r.samples[-1][2] == r.samples[-2][2]
+
+    @pytest.mark.parametrize("sc, phase", [
+        (_entry(615_000, x=560_000.0, y=30_000.0, theta=-0.5), "TERMINAL"),
+        (_entry(950_000, y=30_000.0, v=3000.0, theta=0.0), "ALTITUDE_HOLD"),
+    ], ids=["inside-the-seeker-window", "below-the-hold-band"])
+    def test_an_entry_past_its_gates_chains_at_step_0(self, sc, phase):
+        """From GRAVITATIONAL straight to the last phase the gates lead to,
+        with one event, at t0."""
+        for r in _pinned(sc, engagement.PLANNING_GRID):
+            assert r.events[:2] == ((0.0, "phase:GRAVITATIONAL"), (sc.entry.t, f"phase:{phase}"))
+
+    def test_the_clamp_returns_u_max_itself(self):
+        """An integer ``u_max`` stays an int in the sample rows on both paths."""
+        guidance = replace(range_preset(615_000).guidance(), u_max=1)
+        sc = replace(scenario_for_range(615_000), guidance=guidance, noise=CALIBRATED_NOISE,
+                     runs=2, seed=0)
+        commands = {u for r in _pinned(sc, sc.integrator.dt) for _, _, u in r.samples}
+        assert {u for u in commands if type(u) is int} == {1, -1}
+
+    def test_a_timeout(self):
+        sc = replace(scenario_for_range(800_000), noise=CALIBRATED_NOISE, runs=2, seed=11)
+        short = replace(sc, integrator=replace(sc.integrator, t_max=5.0))
+        assert [r.failed for r in _pinned(short, 1.0)] == ["timeout", "timeout"]
+
+    @pytest.mark.parametrize("interval", [0.02, 10.0, engagement.PLANNING_GRID])
+    def test_sample_intervals(self, interval):
+        _pinned(replace(scenario_for_range(800_000), noise=CALIBRATED_NOISE, runs=2, seed=11),
+                interval)
+
+    def test_zero_uniforms_are_redrawn_across_a_refill(self):
+        """Streams served three uniforms a block, every fifth 0.0 (redrawn
+        as u1, kept as u2) and every seventh 1.0 (a signed-zero draw)."""
+        def refill(stream):
+            k = getattr(stream, "served", 0)
+            stream.served = k + 3
+            stream._buf[:0] = reversed([0.0 if j % 5 == 0 else 1.0 if j % 7 == 0
+                                        else (j * 0.6180339887) % 1.0 for j in range(k, k + 3)])
+
+        with mock.patch.object(GaussianStream, "_refill", refill):
+            _pinned(replace(scenario_for_range(615_000), noise=CALIBRATED_NOISE, runs=2, seed=3))
+
+    def test_a_speed_guard_abort_replays_only_the_aborting_step(self):
+        """A straight-up climb at 50 m/s stalls; the loop replays that step,
+        and no other, through ``dynamics._rk4_generic``."""
+        sc = _entry(615_000, v=50.0, theta=1.5707)
+        with mock.patch.object(dynamics, "_rk4_generic", wraps=dynamics._rk4_generic) as replay:
+            (looped,) = _flown(replace(sc, runs=1))
+        assert looped.failed == "speed below guard (1/v singular)"
+        assert replay.call_count == 1
+        _rhs, t, _y, _u, dt = replay.call_args.args
+        assert t == sc.entry.t + round(t / dt) * dt
+        assert t <= looped.flight_time <= t + dt
+        _pinned(sc)
+
+
 class TestEngagement:
     def test_needs_a_site(self):
         with pytest.raises(ConfigError):
@@ -622,7 +772,11 @@ class TestBatch:
 
     def test_fused_step_matches_the_reference_step_over_a_batch(self):
         """A wrapped RHS has no fused step, as under the benchmark's timers,
-        so the same batch then runs the reference step."""
+        so the same batch then runs the reference step, through ``_drive``:
+        ``_VehicleControl.__call__`` once per step and
+        ``GaussianStream.gaussian`` once per draw.  The generated RHS takes
+        the run loop, which calls neither; each run's density draw is made
+        before it flies."""
         sc = replace(scenario_for_range(615_000), noise=CALIBRATED_NOISE, runs=4, seed=11)
         calls = []
 
@@ -635,12 +789,30 @@ class TestBatch:
 
             return wrapped
 
-        with mock.patch.object(dynamics, "_rk4_generic", wraps=dynamics._rk4_generic) as replay:
+        spied = Counter()
+
+        def spy(cls, name):
+            method = getattr(cls, name)
+
+            def counted(*args):
+                spied[name] += 1
+                return method(*args)
+
+            return mock.patch.object(cls, name, counted)
+
+        with mock.patch.object(dynamics, "_rk4_generic", wraps=dynamics._rk4_generic) as replay, \
+                spy(engagement._VehicleControl, "__call__"), \
+                spy(engagement._VehicleControl, "_alpha"), spy(GaussianStream, "gaussian"):
             fused = batch_run_results(sc)
-        assert not calls and not replay.called
-        with mock.patch.object(engagement, "make_vehicle_rhs", make_wrapped_rhs):
-            reference = batch_run_results(sc)
+            assert not calls and not replay.called
+            assert spied == Counter(gaussian=sc.runs)
+            spied.clear()
+            with mock.patch.object(engagement, "make_vehicle_rhs", make_wrapped_rhs):
+                reference = batch_run_results(sc)
         assert len(calls) > 4 * 4 * 1000
+        steps = len(calls) // 4
+        assert spied["__call__"] == steps
+        assert spied["gaussian"] == sc.runs + steps + spied["_alpha"]
         assert pickle.dumps(fused) == pickle.dumps(reference)
 
     def test_fused_interceptor_step_matches_the_reference_step_over_a_batch(self):
@@ -693,6 +865,23 @@ class TestBatch:
         # the chunk size is the one the uncapped worker count gave
         assert pool_map.call_args.kwargs == {"chunksize": max(1, runs // (4 * workers))}
         assert pickle.dumps(pooled) == pickle.dumps(batch_run_results(sc))
+
+    def test_the_parent_compiles_the_kernel_and_run_loop_before_forking(self):
+        """So every forked worker inherits both instead of compiling them."""
+        sc = replace(scenario_for_range(615_000), runs=2, seed=3)
+        at_fork = set()
+
+        def fork(processes):
+            at_fork.update(key[0] for key in dynamics._FACTORIES)
+            return mock.DEFAULT
+
+        pool = mock.MagicMock(side_effect=fork)
+        pool_map = pool.return_value.__enter__.return_value.map
+        pool_map.side_effect = lambda fn, jobs, chunksize: [fn(job) for job in jobs]
+        with mock.patch.dict(dynamics._FACTORIES, clear=True), \
+                mock.patch("multiprocessing.Pool", pool):
+            batch_run_results(sc, workers=2)
+        assert at_fork == {"vehicle", "vehicle_run"}
 
     def test_summary_against_a_hand_count(self):
         def run(err, intercepted=False, failed=None, nav=20.0, launched=False):
