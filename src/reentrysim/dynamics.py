@@ -32,10 +32,11 @@ and lags by ``INTERCEPTOR_LAG_TIME``:
 
 Integration is classical fixed-step RK4 with the command held constant
 across a step (zero-order hold), in the reference step loop, ``_drive``,
-behind the public ``integrate_until``, defended runs and any flight of
-``engagement._fly`` whose RHS is not the generated one; vehicle-only runs
-take ``engagement``'s generated run loop, which is ``_drive``, the
-guidance control and the fused step in one function, pinned to them.  A
+behind the public ``integrate_until`` and any flight of
+``engagement._fly`` whose RHS is not the generated one; vehicle-only and
+defended runs take ``engagement``'s generated run loops, which are
+``_drive``, the guidance control (and a defended run's launches, evasion
+and missiles) and the fused step in one function, pinned to them.  A
 loop ends on ground impact (touchdown state linearly interpolated inside the
 final step), on its caller's hook (a stop event, an intercept), or on
 timeout; timeout is a result, not an error.  A non-finite start is an
@@ -198,7 +199,7 @@ def make_vehicle_rhs(
     :func:`_rk4_generic`, which replays it on any error and so raises the
     RHS's :class:`IntegrationAbort`.  The RHS also carries what it was
     generated over, ``rhs.made_from = (env, drag, free)``, from which
-    ``engagement`` generates its run loop over the same tables and arguments.
+    ``engagement`` generates its run loops over the same tables and arguments.
     """
     free = dict(g=g, area_over_2m=spec.wing_area / (2.0 * spec.mass), inv_lag=1.0 / spec.lag_time)
     rhs = _generated_rhs("vehicle", env, spec.drag, **free)
@@ -483,7 +484,11 @@ def _kernel_source(name: str, vs_branches: tuple, segments: tuple, ends: tuple =
     )
 
 
-_FACTORIES: dict = {}
+_FACTORIES: dict = {}  # (name, repr of the tables and ends) -> make
+# (name, ids of the table objects and ends) -> (those objects, their _FACTORIES
+# key); holding the objects keeps their ids theirs
+_SEEN: dict = {}
+_SEEN_MAX = 64
 
 
 def _kernel_factory(name: str, vs_branches: tuple, segments: tuple, ends: tuple,
@@ -492,8 +497,19 @@ def _kernel_factory(name: str, vs_branches: tuple, segments: tuple, ends: tuple,
     ends, once per process and set (keyed by ``repr``, which tells -0.0 from
     0.0), and in ``linecache`` under its own name so tracebacks show its lines.
     ``source(name, vs_branches, segments, ends)`` writes it: a kernel's, or
-    engagement's run loop.  All of them run in this module's namespace."""
+    engagement's run loop.  All of them run in this module's namespace.
+
+    A lookup with the very table and end objects of a recent one (each run
+    of a batch: ``replace(atmosphere, rho0=...)`` keeps ``vs_branches``)
+    finds its key without the ``repr``, which costs more than the rest."""
+    ids = (name, id(vs_branches), id(segments), *map(id, ends))
+    seen = _SEEN.get(ids)
+    if seen is not None and seen[-1] in _FACTORIES:
+        return _FACTORIES[seen[-1]]
     key = (name, repr(vs_branches), repr(segments), repr(ends))
+    if len(_SEEN) >= _SEEN_MAX:
+        _SEEN.clear()
+    _SEEN[ids] = (vs_branches, segments, ends, key)
     if key not in _FACTORIES:
         text = source(name, vs_branches, segments, ends)
         crc = zlib.crc32(text.encode())
@@ -552,7 +568,8 @@ def _drive(step, command, t0, y0, config, sample_interval=None, after_step=None)
     touchdown state interpolated linearly inside the final step), timeout,
     or a value other than None from ``after_step(t, y, y_next)``, which sees
     every step before the ground check.  An :class:`IntegrationAbort`
-    propagates.  Returns ``(end, t, y, samples, steps)``: ``end`` is
+    propagates.  The reference that ``engagement``'s generated run loops,
+    ``vehicle_run`` and ``engage_run``, are pinned to bit for bit.  Returns ``(end, t, y, samples, steps)``: ``end`` is
     ``"ground"``, ``"timeout"`` or the hook's value, (t, y) the end state,
     and ``samples`` the (t, y, u) rows every ``sample_interval`` (if set),
     rounded to whole steps, plus the end row.
@@ -602,8 +619,9 @@ def integrate_until(
     state without interpolation, and ground impact wins a tie.
 
     ``t0`` must be finite and below ``config.t_max``, and ``y0`` finite.
-    The public front of :func:`_drive`, the reference step loop, which
-    defended runs of ``engagement._fly`` also step through.
+    The public front of :func:`_drive`, the reference step loop, which a
+    flight of ``engagement._fly`` on any RHS but the generated one also
+    steps through.
     """
     if not -inf < t0 < config.t_max:
         raise DomainError(f"t0 must be finite and < t_max ({config.t_max}), got {t0}")

@@ -540,11 +540,12 @@ def test_a_nan_table_entry_never_reaches_a_kernel():
 KERNELS = Path(__file__).parent / "kernels"
 # the stock tables each kernel flies on, and the stages of a stock spec:
 # type 2's three, so the snapshots show a chain of seams; engagement's run
-# loop inlines the vehicle kernel's step
+# loops inline the vehicle kernel's step
 STOCK_DRAG = {"vehicle": vehicle_drag_model(), "interceptor": interceptor_drag_model(),
-              "profile": interceptor_drag_model(), "vehicle_run": vehicle_drag_model()}
+              "profile": interceptor_drag_model(), "vehicle_run": vehicle_drag_model(),
+              "engage_run": vehicle_drag_model()}
 STOCK_STAGES = {"vehicle": (), "interceptor": type2_spec().stages, "profile": type2_spec().stages,
-                "vehicle_run": ()}
+                "vehicle_run": (), "engage_run": ()}
 REWRITE = (
     "PYTHONPATH=src:tests python -c \"import test_dynamics as t; "
     "[(t.KERNELS / f'{n}.txt').write_text(t.stock_source(n)) for n in t.STOCK_DRAG]\""
@@ -552,7 +553,7 @@ REWRITE = (
 
 
 def stock_source(name):
-    source = _run_loop_source if name == "vehicle_run" else _kernel_source
+    source = _run_loop_source if name.endswith("_run") else _kernel_source
     return source(name, DEFAULT_ATMOSPHERE.vs_branches, STOCK_DRAG[name].segments,
                   tuple(stage[1] for stage in STOCK_STAGES[name]))
 
@@ -606,6 +607,28 @@ def test_each_table_set_compiles_its_own_kernel_once():
         floored = replace(vehicle_drag_model(), cx_floor=0.07, mach_cap=3.0)
         make_vehicle_rhs(VehicleSpec(drag=floored), replace(plain, rho0=1.3, k_decay=1e-4))
         assert compiled.call_count == 3
+
+
+def test_a_repeated_lookup_of_the_same_tables_skips_repr():
+    """A lookup with the very table objects of an earlier one finds its
+    kernel without ``repr``; other objects take the ``repr`` key, on which
+    equal tables share a kernel and -0.0 and 0.0 still compile two."""
+    plain, signed = (OFF_STOCK[k][0] for k in ("three speed-of-sound branches", "signed zeros"))
+    copied = AtmosphereModel(vs_branches=tuple(tuple(row) for row in plain.vs_branches))
+    assert copied.vs_branches is not plain.vs_branches
+    spec = VehicleSpec()
+    with mock.patch.dict(dynamics._FACTORIES, clear=True), \
+            mock.patch.object(dynamics, "compile", wraps=compile, create=True) as compiled:
+        first = make_vehicle_rhs(spec, plain)
+        with mock.patch.object(dynamics, "repr", side_effect=AssertionError, create=True):
+            again = make_vehicle_rhs(spec, replace(plain, rho0=1.3))
+        assert compiled.call_count == 1
+        assert again.rk4_step.__code__ is first.rk4_step.__code__
+        with mock.patch.object(dynamics, "repr", wraps=repr, create=True) as keyed:
+            make_vehicle_rhs(spec, copied)
+        assert keyed.call_count == 3 and compiled.call_count == 1
+        make_vehicle_rhs(spec, signed)
+        assert compiled.call_count == 2
 
 
 def test_a_calibrated_noise_batch_compiles_its_kernel_once():

@@ -9,7 +9,8 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from reentrysim import dynamics, engagement, interceptor
+from reentrysim import cli, dynamics, engagement, interceptor
+from reentrysim.dynamics import SPEED_GUARD
 from reentrysim.engagement import (
     GaussianStream,
     InterceptorSite,
@@ -25,7 +26,7 @@ from reentrysim.engagement import (
     summarize,
 )
 from reentrysim.errors import BatchError, ConfigError, DomainError
-from reentrysim.interceptor import type1_spec, type2_spec
+from reentrysim.interceptor import LaunchPlan, type1_spec, type2_spec
 from reentrysim.presets import (
     CALIBRATED_NOISE,
     PRESET_RANGES,
@@ -591,15 +592,22 @@ class TestEngagement:
         assert hits >= 10
 
     def test_interceptor_abort_is_recorded_as_an_event(self):
+        """The run loop, which inlines PN, from a launch below the speed
+        guard; the reference path from a NaN PN command, which stalls the
+        missile too."""
         sc = terminal_engagement_scenario(700.0, "type-1")
-        with mock.patch.object(engagement._Missile, "pn_command", lambda self, y: math.nan):
-            r = simulate_engagement(sc)
-        labels = [label for _, label in r.events]
-        assert labels[labels.index("launch:type-1") + 1] == (
-            "abort:type-1:speed below guard (1/v singular)"
-        )
-        assert not r.intercepted
-        assert labels[-1] == "touchdown"
+        with mock.patch.object(engagement._Missile, "launch", _launch_stalled("type-1")):
+            looped = simulate_engagement(sc)
+        with mock.patch.object(engagement._Missile, "pn_command", lambda self, y: math.nan), \
+                mock.patch.object(engagement, "make_vehicle_rhs", _reference_rhs):
+            driven = simulate_engagement(sc)
+        for r in (looped, driven):
+            labels = [label for _, label in r.events]
+            assert labels[labels.index("launch:type-1") + 1] == (
+                "abort:type-1:speed below guard (1/v singular)"
+            )
+            assert not r.intercepted
+            assert labels[-1] == "touchdown"
 
     def test_infinite_interceptor_speed_is_recorded_as_an_abort(self):
         sc = terminal_engagement_scenario(700.0, "type-1")
@@ -721,6 +729,162 @@ class TestEngagement:
             return summarize(batch_run_results(sc)).p_intercept
 
         assert probability(675_000) < probability(950_000)
+
+
+def _launch_stalled(kind):
+    """``_Missile.launch`` leaving the rail below the speed guard for ``kind``."""
+    launch = engagement._Missile.launch
+
+    def launch_stalled(self):
+        launch(self)
+        if self.kind == kind:
+            self.state = self.state[:3] + (0.5 * SPEED_GUARD,) + self.state[4:]
+
+    return launch_stalled
+
+
+def _pinned_defence(sc):
+    """The runs of the defended ``sc`` on ``engage_run``, after checking
+    that their pickles equal the reference path's and that the loop called
+    none of what it inlines: ``_VehicleControl.__call__``,
+    ``_Missile.pn_command`` and ``_step_miss``."""
+    calls = Counter()
+
+    def spy(owner, name):
+        method = getattr(owner, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return method(*args)
+
+        return mock.patch.object(owner, name, counted)
+
+    with spy(engagement._VehicleControl, "__call__"), spy(engagement._Missile, "pn_command"), \
+            spy(engagement, "_step_miss"):
+        looped = batch_run_results(sc)
+        assert not calls
+        with mock.patch.object(engagement, "make_vehicle_rhs", _reference_rhs):
+            driven = batch_run_results(sc)
+        assert calls["__call__"]
+    assert pickle.dumps(looped) == pickle.dumps(driven)
+    return looped
+
+
+def _labels(r):
+    return [label for _, label in r.events]
+
+
+class TestEngageLoop:
+    """A defended run of the generated RHS takes ``engage_run``, the run
+    loop with the reference's launches, evasion override, PN, interceptor
+    steps, closest approach and kill test spliced in; its results must
+    pickle to the bytes of the reference path, ``_drive`` with the
+    ``_defence_hooks``, which an RHS without ``made_from`` takes."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 11])
+    @pytest.mark.parametrize("noise", [NoiseConfig(), CALIBRATED_NOISE],
+                             ids=["quiet", "calibrated"])
+    @pytest.mark.parametrize("kind", ["type-1", "type-2"])
+    @pytest.mark.parametrize("speed", cli.SWEEP_SPEEDS)
+    def test_the_speed_sweep(self, speed, kind, noise, seed):
+        base = replace(scenario_for_range(615_000), noise=noise, runs=4, seed=seed)
+        results = _pinned_defence(terminal_engagement_scenario(speed, kind, base=base))
+        assert all(f"launch:{kind}" in _labels(r) for r in results)
+
+    def test_the_evading_batch(self):
+        sc = replace(terminal_engagement_scenario(2000.0, "type-1", evasion_enabled=True),
+                     noise=CALIBRATED_NOISE, runs=8, seed=11)
+        command = engagement.EvasionController.command
+        calls = []
+
+        def spy(self, *args):
+            calls.append(args[0])
+            return command(self, *args)
+
+        with mock.patch.object(engagement.EvasionController, "command", spy):
+            _pinned_defence(sc)
+        assert len(calls) > 1000
+
+    @pytest.mark.parametrize("sites", [
+        (TestEngagement.TYPE1_TIED, TestEngagement.TYPE2),
+        (TestEngagement.TYPE2, TestEngagement.TYPE1_TIED),
+        (TestEngagement.TYPE2, TestEngagement.TYPE1_EARLY),
+    ], ids=["tied", "tied-reversed", "later-plan-first"])
+    def test_launch_site_orders(self, sites):
+        base = replace(terminal_engagement_scenario(1000.0, "type-1"),
+                       noise=CALIBRATED_NOISE, runs=4, seed=3)
+        for r in _pinned_defence(replace(base, sites=sites)):
+            assert sum(label.startswith("launch:") for label in _labels(r)) == 2
+
+    def test_an_unreachable_site(self):
+        sc = replace(scenario_for_range(615_000), noise=CALIBRATED_NOISE, runs=2, seed=11,
+                     sites=(InterceptorSite(x=300_000.0, kind="type-1"),))
+        for r in _pinned_defence(sc):
+            assert r.touchdown is not None and r.miss_distance == MISS_NONE
+            assert not any(label.startswith("launch:") for label in _labels(r))
+
+    def test_two_missiles_under_the_kill_radius_on_one_step(self):
+        """Both come within 8 km on their launch step; the closer, listed
+        second, ends the run."""
+        sc = replace(terminal_engagement_scenario(1000.0, "type-1"), noise=CALIBRATED_NOISE,
+                     runs=1, seed=3, kill_radius=8_000.0,
+                     sites=(TestEngagement.TYPE1_TIED, TestEngagement.TYPE2))
+        misses = []
+        step_miss = engagement._step_miss
+
+        def spy(*args):
+            misses.append(step_miss(*args)[0])
+            return step_miss(*args)
+
+        with mock.patch.object(engagement, "_step_miss", spy):
+            (r,) = _pinned_defence(sc)
+        assert len(misses) == 2 and max(misses) < sc.kill_radius
+        assert r.intercepted and r.miss_distance == misses[1] < misses[0]
+        assert _labels(r)[-3:] == ["launch:type-1", "launch:type-2", "intercept:type-2"]
+
+    def test_a_missile_abort(self):
+        """Type 1 stalls on the rail and aborts; type 2 flies on alone."""
+        sc = replace(terminal_engagement_scenario(1000.0, "type-1"), noise=CALIBRATED_NOISE,
+                     runs=4, seed=3, sites=(TestEngagement.TYPE1_TIED, TestEngagement.TYPE2))
+        with mock.patch.object(engagement._Missile, "launch", _launch_stalled("type-1")):
+            results = _pinned_defence(sc)
+        for r in results:
+            labels = _labels(r)
+            assert labels[labels.index("launch:type-2") + 1] == (
+                "abort:type-1:speed below guard (1/v singular)")
+            assert r.miss_distance < MISS_NONE
+
+    def test_a_vehicle_abort_with_a_missile_in_flight(self):
+        """A straight-up climb at 50 m/s stalls 4.5 s after a launch at
+        0.5 s; the plan is patched in, as the planning track stalls too."""
+        base = scenario_for_range(615_000)
+        sc = replace(base, entry=replace(base.entry, v=50.0, theta=1.5707),
+                     evasion=replace(base.evasion, enabled=False),
+                     sites=(InterceptorSite(x=21_000.0, kind="type-1"),))
+        with mock.patch.object(engagement, "_nominal_track", lambda quiet: ()), \
+                mock.patch.object(engagement, "launch_decision", lambda *args: LaunchPlan(0.5, 1.0)):
+            (r,) = _pinned_defence(sc)
+        assert r.failed == "speed below guard (1/v singular)"
+        assert r.events[1:] == ((0.5, "launch:type-1"),
+                                (r.flight_time, "failed:speed below guard (1/v singular)"))
+
+    def test_a_timeout_with_a_missile_up(self):
+        """The plan comes from the full track, as the run's t_max cuts it."""
+        base = replace(terminal_engagement_scenario(1000.0, "type-1"), noise=CALIBRATED_NOISE,
+                       runs=2, seed=3, sites=(TestEngagement.TYPE1_EARLY,))
+        track = engagement._nominal_track(replace(base, noise=NoiseConfig(), sites=(), seed=0,
+                                                  runs=1))
+        sc = replace(base, integrator=replace(base.integrator, t_max=15.0))
+        with mock.patch.object(engagement, "_nominal_track", lambda quiet: track):
+            for r in _pinned_defence(sc):
+                assert r.failed == "timeout" and r.flight_time == 15.0
+                assert _labels(r)[-2:] == ["launch:type-1", "failed:timeout"]
+
+    def test_an_entry_after_t_0(self):
+        base = replace(terminal_engagement_scenario(1400.0, "type-2"), noise=CALIBRATED_NOISE,
+                       runs=4, seed=3)
+        results = _pinned_defence(replace(base, entry=replace(base.entry, t=1.3)))
+        assert any(r.intercepted for r in results)
 
 
 # The README's defended x800 descent, noise-free: two launches, no kill.
@@ -867,21 +1031,30 @@ class TestBatch:
         assert pickle.dumps(pooled) == pickle.dumps(batch_run_results(sc))
 
     def test_the_parent_compiles_the_kernel_and_run_loop_before_forking(self):
-        """So every forked worker inherits both instead of compiling them."""
-        sc = replace(scenario_for_range(615_000), runs=2, seed=3)
-        at_fork = set()
+        """So every forked worker inherits what its runs fly instead of
+        compiling it: the vehicle kernel and ``vehicle_run``, which launch
+        planning's track flies too, and for a defended scenario
+        ``engage_run`` and each site's interceptor kernel (type 1's and
+        type 2's stage seams differ)."""
+        for sc, compiled in [
+            (replace(scenario_for_range(615_000), runs=2, seed=3),
+             {"vehicle": 1, "vehicle_run": 1}),
+            (replace(DEFENDED_X800, runs=2, seed=3),
+             {"vehicle": 1, "vehicle_run": 1, "engage_run": 1, "interceptor": 2}),
+        ]:
+            at_fork = Counter()
 
-        def fork(processes):
-            at_fork.update(key[0] for key in dynamics._FACTORIES)
-            return mock.DEFAULT
+            def fork(processes):
+                at_fork.update(key[0] for key in dynamics._FACTORIES)
+                return mock.DEFAULT
 
-        pool = mock.MagicMock(side_effect=fork)
-        pool_map = pool.return_value.__enter__.return_value.map
-        pool_map.side_effect = lambda fn, jobs, chunksize: [fn(job) for job in jobs]
-        with mock.patch.dict(dynamics._FACTORIES, clear=True), \
-                mock.patch("multiprocessing.Pool", pool):
-            batch_run_results(sc, workers=2)
-        assert at_fork == {"vehicle", "vehicle_run"}
+            pool = mock.MagicMock(side_effect=fork)
+            pool_map = pool.return_value.__enter__.return_value.map
+            pool_map.side_effect = lambda fn, jobs, chunksize: [fn(job) for job in jobs]
+            with mock.patch.dict(dynamics._FACTORIES, clear=True), \
+                    mock.patch("multiprocessing.Pool", pool):
+                batch_run_results(sc, workers=2)
+            assert at_fork == compiled
 
     def test_summary_against_a_hand_count(self):
         def run(err, intercepted=False, failed=None, nav=20.0, launched=False):
