@@ -33,10 +33,10 @@ and lags by ``INTERCEPTOR_LAG_TIME``:
 Integration is classical fixed-step RK4 with the command held constant
 across a step (zero-order hold), in the reference step loop, ``_drive``,
 behind the public ``integrate_until`` and any flight of
-``engagement._fly`` whose RHS is not the generated one; vehicle-only and
-defended runs take ``engagement``'s generated run loops, which are
-``_drive``, the guidance control (and a defended run's launches, evasion
-and missiles) and the fused step in one function, pinned to them.  A
+``engagement._fly`` whose RHS is not the generated one; every other run
+takes ``engagement``'s one generated run loop, which is ``_drive``, the
+guidance control, a defended run's launches, evasion and missiles, and the
+fused step in one function, pinned to them.  A
 loop ends on ground impact (touchdown state linearly interpolated inside the
 final step), on its caller's hook (a stop event, an intercept), or on
 timeout; timeout is a result, not an error.  A non-finite start is an
@@ -199,7 +199,7 @@ def make_vehicle_rhs(
     :func:`_rk4_generic`, which replays it on any error and so raises the
     RHS's :class:`IntegrationAbort`.  The RHS also carries what it was
     generated over, ``rhs.made_from = (env, drag, free)``, from which
-    ``engagement`` generates its run loops over the same tables and arguments.
+    ``engagement`` generates its run loop over the same tables and arguments.
     """
     free = dict(g=g, area_over_2m=spec.wing_area / (2.0 * spec.mass), inv_lag=1.0 / spec.lag_time)
     rhs = _generated_rhs("vehicle", env, spec.drag, **free)
@@ -568,11 +568,12 @@ def _drive(step, command, t0, y0, config, sample_interval=None, after_step=None)
     touchdown state interpolated linearly inside the final step), timeout,
     or a value other than None from ``after_step(t, y, y_next)``, which sees
     every step before the ground check.  An :class:`IntegrationAbort`
-    propagates.  The reference that ``engagement``'s generated run loops,
-    ``vehicle_run`` and ``engage_run``, are pinned to bit for bit.  Returns ``(end, t, y, samples, steps)``: ``end`` is
-    ``"ground"``, ``"timeout"`` or the hook's value, (t, y) the end state,
-    and ``samples`` the (t, y, u) rows every ``sample_interval`` (if set),
-    rounded to whole steps, plus the end row.
+    propagates.  The reference that ``engagement``'s generated
+    ``run_loop`` is pinned to bit for bit, with ``engagement._defence_hooks``
+    as ``command`` and ``after_step``.  Returns ``(end, t, y, samples,
+    steps)``: ``end`` is ``"ground"``, ``"timeout"`` or the hook's value,
+    (t, y) the end state, and ``samples`` the (t, y, u) rows every
+    ``sample_interval`` (if set), rounded to whole steps, plus the end row.
     """
     dt, stride, n_max = _schedule(t0, config, sample_interval)
     y = tuple(y0)
@@ -621,7 +622,8 @@ def integrate_until(
     ``t0`` must be finite and below ``config.t_max``, and ``y0`` finite.
     The public front of :func:`_drive`, the reference step loop, which a
     flight of ``engagement._fly`` on any RHS but the generated one also
-    steps through.
+    steps through; every other flight takes ``engagement``'s one generated
+    run loop, pinned to it.
     """
     if not -inf < t0 < config.t_max:
         raise DomainError(f"t0 must be finite and < t_max ({config.t_max}), got {t0}")

@@ -8,14 +8,13 @@ multiplier, load-factor turbulence, seeker boresight), which keeps the
 draw sequences aligned across scenario variants sharing a seed.
 
 ``_fly`` flies every run and turns its step loop's end into a run result.
-Vehicle-only runs and the noise-free track that launch planning reads
-take the generated run loop ``vehicle_run`` (``_run_loop_source``):
-``dynamics._drive``, ``_VehicleControl`` with its draws and the vehicle
-kernel's fused step in one function, pinned bit for bit to that reference
-path, which any other RHS still takes.  Defended runs take ``engage_run``,
-the same loop with their launches, evasion and missiles spliced in, pinned
-to ``dynamics._drive`` with ``_defence_hooks``, which hook them into the
-command and each step.
+Every run takes one generated loop, ``run_loop`` (``_run_loop_source``):
+``dynamics._drive``, ``_VehicleControl`` with its draws, the vehicle
+kernel's fused step and a defended run's launches, evasion and missiles in
+one function, pinned bit for bit to ``dynamics._drive`` with
+``_defence_hooks``, the reference path that any other RHS still takes.  A
+vehicle-only run and the noise-free track that launch planning reads pass
+no missiles and no evasion.
 """
 
 from __future__ import annotations
@@ -348,9 +347,10 @@ class _VehicleControl:
 
 
 # --------------------------------------------------------------------------
-# The vehicle-only run in one frame: dynamics._drive, _VehicleControl.__call__
-# with its GaussianStream.gaussian draws, and the vehicle kernel's fused step,
-# generated together (see _run_loop_source).
+# Every run in one frame: dynamics._drive, _VehicleControl.__call__ with its
+# GaussianStream.gaussian draws, the vehicle kernel's fused step and
+# _defence_hooks with its PN (_Missile.pn_command) and _step_miss in their
+# operand order, generated together (see _run_loop_source).
 
 # wrap_angle and _VehicleControl._alpha's seeker draw
 _ALPHA = """\
@@ -380,7 +380,7 @@ _RUN_LOOP = """\
 def make(rho0, k_decay, cx_floor, mach_cap, *, area_over_2m, g, inv_lag, phases):
     GRAVITATIONAL, PULL_UP, ALTITUDE_HOLD, TERMINAL = phases
 
-    def {name}(rhs, control, t0, y, config, sample_interval{engage_args}):
+    def {name}(rhs, control, t0, y, config, sample_interval, missiles, evasion, kill_radius):
         dt, stride, n_max = _schedule(t0, config, sample_interval)
         atan2, fmod, hypot, log, sqrt = math.atan2, math.fmod, math.hypot, math.log, math.sqrt
         pi = math.pi
@@ -402,9 +402,18 @@ def make(rho0, k_decay, cx_floor, mach_cap, *, area_over_2m, g, inv_lag, phases)
         phase = control.phase
         {ys} = y
         samples = []
-{setup}        for k in range(n_max):
+        flying = []  # launched and not done, in site order
+        next_launch = min((m.launch_time for m in missiles), default=inf)
+        for k in range(n_max):
             t = t0 + k * dt
-{launch}            # the command at (t, y)
+            if t >= next_launch:
+                for missile in missiles:
+                    if missile.state is None and t >= missile.launch_time:
+                        missile.launch()
+                        events.append((t, f"launch:{{missile.kind}}"))
+                flying = [m for m in missiles if m.state is not None and not m.done]
+                next_launch = min((m.launch_time for m in missiles if m.state is None), default=inf)
+            # the command at (t, y)
             x, h, v, theta = y0, y1, y3, y4
             entered = phase
             if phase is not TERMINAL and h <= window_altitude:
@@ -436,12 +445,69 @@ def make(rho0, k_decay, cx_floor, mach_cap, *, area_over_2m, g, inv_lag, phases)
                 u = u_max
             elif u < u_min:
                 u = u_min
-{evasion}            if stride and k % stride == 0:
+            if evasion is not None:
+                override = evasion.command(t, y3, y4, any(m.thrusting(t) for m in flying))
+                if override is not None:
+                    u = override
+            if stride and k % stride == 0:
                 samples.append((t, ({ys}), u))
             while True:  # the fused step; a replay breaks out with its state
 {step}
                 break
-{missiles}            if o1 <= 0.0 < y1:
+            if flying:
+                hit = None
+                ended = False
+                for missile in flying:
+                    s = missile.state
+                    rx = y0 - s[0]
+                    ry = y1 - s[1]
+                    r2 = rx * rx + ry * ry
+                    if r2 == 0.0:
+                        pn = 0.0
+                    else:
+                        rvx = y3 * cos(y4) - s[3] * cos(s[4])
+                        rvy = y3 * sin(y4) - s[3] * sin(s[4])
+                        lam_dot = (rx * rvy - ry * rvx) / r2
+                        closing = -(rx * rvx + ry * rvy) / sqrt(r2)
+                        pn = {nav_gain!r} * (closing / g) * lam_dot + cos(s[4])
+                        if pn > {u_max!r}:
+                            pn = {u_max!r}
+                        elif pn < -{u_max!r}:
+                            pn = -{u_max!r}
+                    try:
+                        s_next = missile.step(t - missile.launch_time, s, pn, dt)
+                    except IntegrationAbort as abort:
+                        missile.done = ended = True
+                        events.append((t, f"abort:{{missile.kind}}:{{abort.reason}}"))
+                        continue
+                    dx = o0 - s_next[0] - rx
+                    dy = o1 - s_next[1] - ry
+                    dd = dx * dx + dy * dy
+                    if dd == 0.0:
+                        miss, t_off = hypot(rx, ry), 0.0
+                    else:
+                        f = -(rx * dx + ry * dy) / dd
+                        if f < 0.0:
+                            f = 0.0
+                        elif f > 1.0:
+                            f = 1.0
+                        miss, t_off = hypot(rx + f * dx, ry + f * dy), f * dt
+                    if miss < missile.min_miss:
+                        missile.min_miss = miss
+                    if miss < kill_radius and (hit is None or miss < hit_miss):
+                        hit, hit_miss, hit_t = missile, miss, t + t_off
+                    if s_next[1] <= 0.0:
+                        missile.done = ended = True
+                    else:
+                        missile.state = s_next
+                if ended:
+                    flying = [m for m in flying if not m.done]
+                if hit is not None:
+                    end = (hit, hit_miss, hit_t)
+                    t = t0 + (k + 1) * dt
+                    {ys} = {outs}
+                    break
+            if o1 <= 0.0 < y1:
                 frac = y1 / (y1 - o1)
 {touchdown}
                 end, t = "ground", t + frac * dt
@@ -458,128 +524,39 @@ def make(rho0, k_decay, cx_floor, mach_cap, *, area_over_2m, g, inv_lag, phases)
 """
 
 
-# engage_run's additions to _RUN_LOOP, (depth, lines) spliced at a line start:
-# _defence_hooks' command and after_step inline, its PN (_Missile.pn_command)
-# and _step_miss in their operand order
-_MISSILES = """\
-if flying:
-    hit = None
-    ended = False
-    for missile in flying:
-        s = missile.state
-        rx = y0 - s[0]
-        ry = y1 - s[1]
-        r2 = rx * rx + ry * ry
-        if r2 == 0.0:
-            pn = 0.0
-        else:
-            rvx = y3 * cos(y4) - s[3] * cos(s[4])
-            rvy = y3 * sin(y4) - s[3] * sin(s[4])
-            lam_dot = (rx * rvy - ry * rvx) / r2
-            closing = -(rx * rvx + ry * rvy) / sqrt(r2)
-            pn = {nav_gain!r} * (closing / g) * lam_dot + cos(s[4])
-            if pn > {u_max!r}:
-                pn = {u_max!r}
-            elif pn < -{u_max!r}:
-                pn = -{u_max!r}
-        try:
-            s_next = missile.step(t - missile.launch_time, s, pn, dt)
-        except IntegrationAbort as abort:
-            missile.done = ended = True
-            events.append((t, f"abort:{{missile.kind}}:{{abort.reason}}"))
-            continue
-        dx = o0 - s_next[0] - rx
-        dy = o1 - s_next[1] - ry
-        dd = dx * dx + dy * dy
-        if dd == 0.0:
-            miss, t_off = hypot(rx, ry), 0.0
-        else:
-            f = -(rx * dx + ry * dy) / dd
-            if f < 0.0:
-                f = 0.0
-            elif f > 1.0:
-                f = 1.0
-            miss, t_off = hypot(rx + f * dx, ry + f * dy), f * dt
-        if miss < missile.min_miss:
-            missile.min_miss = miss
-        if miss < kill_radius and (hit is None or miss < hit_miss):
-            hit, hit_miss, hit_t = missile, miss, t + t_off
-        if s_next[1] <= 0.0:
-            missile.done = ended = True
-        else:
-            missile.state = s_next
-    if ended:
-        flying = [m for m in flying if not m.done]
-    if hit is not None:
-        end = (hit, hit_miss, hit_t)
-        t = t0 + (k + 1) * dt
-        y0, y1, y2, y3, y4, y5, y6 = o0, o1, o2, o3, o4, o5, o6
-        break
-""".format(nav_gain=NAV_GAIN, u_max=INTERCEPTOR_U_MAX)
-
-_ENGAGE = dict(
-    setup=(2, """\
-flying = []  # launched and not done, in site order
-next_launch = min((m.launch_time for m in missiles), default=inf)
-"""),
-    launch=(3, """\
-if t >= next_launch:
-    for missile in missiles:
-        if missile.state is None and t >= missile.launch_time:
-            missile.launch()
-            events.append((t, f"launch:{missile.kind}"))
-    flying = [m for m in missiles if m.state is not None and not m.done]
-    next_launch = min((m.launch_time for m in missiles if m.state is None), default=inf)
-"""),
-    evasion=(3, """\
-if evasion is not None:
-    override = evasion.command(t, y3, y4, any(m.thrusting(t) for m in flying))
-    if override is not None:
-        u = override
-"""),
-    missiles=(3, _MISSILES),
-)
-
-
 def _run_loop_source(name: str, vs_branches: tuple, segments: tuple, ends: tuple = ()) -> str:
     """Source of ``make(rho0, k_decay, cx_floor, mach_cap, *, area_over_2m,
     g, inv_lag, phases)``, the vehicle kernel's ``make`` plus the
     :class:`GuidancePhase` members in order, which returns the run loop
-    ``name(rhs, control, t0, y, config, sample_interval)``, or for
-    ``engage_run`` ``engage_run(..., sample_interval, missiles, evasion,
-    kill_radius)``.
+    ``name(rhs, control, t0, y, config, sample_interval, missiles, evasion,
+    kill_radius)``; :func:`_run_loop` names it ``run_loop``.
 
-    ``vehicle_run`` is :func:`~reentrysim.dynamics._drive` with a
-    :class:`_VehicleControl` as its command and the vehicle kernel's fused
-    step, in one frame: the state lives in locals ``y0``..``y6``, the
-    control's settings are read once per run, and its phase machine,
-    ``wrap_angle`` and the Box-Muller draws of its streams are inline, in
-    the reference's operand order.  The step is the kernel's own
-    :func:`~reentrysim.dynamics._rk4_lines` over the stock or any other
+    The loop is :func:`~reentrysim.dynamics._drive` with the
+    :func:`_defence_hooks` of a :class:`_VehicleControl` and the vehicle
+    kernel's fused step, in one frame: the state lives in locals
+    ``y0``..``y6``, the control's settings are read once per run, and its
+    phase machine, ``wrap_angle`` and the Box-Muller draws of its streams
+    are inline, in the reference's operand order.  The step is the kernel's
+    own :func:`~reentrysim.dynamics._rk4_lines` over the stock or any other
     tables; each ``raise`` and the non-finite check replay the step through
     ``_rk4_generic``, looked up at call time in the kernels' namespace, and
     continue with its value, or its :class:`IntegrationAbort` propagates.
     The loop writes ``phase``, ``terminal_t`` and each ``phase:`` event into
     the control as the control would, and returns what ``_drive`` returns.
 
-    ``engage_run`` is the same loop with :func:`_defence_hooks` spliced in
-    (``_ENGAGE``): the launches once one is due, the evasion override after
-    the clamp (only with a controller, so ``_Missile.thrusting`` and
-    ``EvasionController.command`` are called only then), and before the
-    ground check each missile in flight: PN, its fused step, an abort
-    event, the closest approach, the kill test and the pruning; a kill ends
-    the loop with ``(missile, miss, t_kill)``.  ``tests/kernels/`` holds
-    both sources over the stock tables.
+    The hooks are inline too: the launches once one is due, the evasion
+    override after the clamp (only with a controller, so
+    ``_Missile.thrusting`` and ``EvasionController.command`` are called only
+    then), and before the ground check each missile in flight: PN, its fused
+    step, an abort event, the closest approach, the kill test and the
+    pruning; a kill ends the loop with ``(missile, miss, t_kill)``.
+    ``tests/kernels/run_loop.txt`` holds the source over the stock tables.
     """
     ys, outs = (", ".join(f"{p}{i}" for i in range(7)) for p in "yo")
     replay = f"{outs} = _rk4_generic(rhs, t, ({ys}), u, dt)\nbreak"
     alpha = _ALPHA.format(draw=textwrap.indent(_DRAW.format(stream="eyes", out="alpha"), "    "))
-    engage = name == "engage_run"
-    spliced = {part: _indent([lines], depth) + "\n" if engage else ""
-               for part, (depth, lines) in _ENGAGE.items()}
     return _RUN_LOOP.format(
-        name=name, ys=ys, outs=outs,
-        engage_args=", missiles, evasion, kill_radius" if engage else "", **spliced,
+        name=name, ys=ys, outs=outs, nav_gain=NAV_GAIN, u_max=INTERCEPTOR_U_MAX,
         gate_alpha=_indent([alpha], 5), law_alpha=_indent([alpha], 4),
         turbulence=_indent([_DRAW.format(stream="turb", out="u")], 4),
         step=_indent(_rk4_lines("vehicle", vs_branches, segments, ends, replay), 4),
@@ -587,10 +564,9 @@ def _run_loop_source(name: str, vs_branches: tuple, segments: tuple, ends: tuple
     )
 
 
-def _run_loop(rhs, name: str):
-    """The run loop ``name`` (``vehicle_run`` or ``engage_run``) generated
-    over the tables and arguments of ``rhs`` when it is
-    :func:`make_vehicle_rhs`'s generated RHS, which carries
+def _run_loop(rhs):
+    """``run_loop`` generated over the tables and arguments of ``rhs`` when
+    it is :func:`make_vehicle_rhs`'s generated RHS, which carries
     ``rhs.made_from``; None for any other RHS (a timer wrapped around it,
     say), which steps through ``_drive``.  Compiled once per process and
     table set, on the first run that asks."""
@@ -598,7 +574,7 @@ def _run_loop(rhs, name: str):
     if made_from is None:
         return None
     env, drag, free = made_from
-    return _generated_rhs(name, env, drag, source=_run_loop_source, phases=_PHASES, **free)
+    return _generated_rhs("run_loop", env, drag, source=_run_loop_source, phases=_PHASES, **free)
 
 
 def _ended(control, t, label, touchdown=None, landing_error=math.nan, intercepted=False,
@@ -610,38 +586,36 @@ def _ended(control, t, label, touchdown=None, landing_error=math.nan, intercepte
                      tuple(control.events), failed, samples)
 
 
-def _fly(scenario, rhs, control, missiles=None, evasion=None, sample_interval=None) -> RunResult:
+def _fly(scenario, rhs, control, missiles=(), evasion=None, sample_interval=None) -> RunResult:
     """Fly the scenario and turn the step loop's end into the run's result:
     touchdown (with the missiles' closest approach), timeout, an abort, or
     an intercept.  A defended run hands its ``missiles`` (none launched)
     and its ``evasion`` controller, None when evasion is off; with
     ``sample_interval`` set, the result carries the loop's (t, state, u) rows.
 
-    A flight of the generated RHS takes its generated :func:`_run_loop`,
-    ``engage_run`` when defended and ``vehicle_run`` otherwise; any other
-    RHS (a timer wrapped around it, say) flies the reference path, through
-    :func:`~reentrysim.dynamics._drive` with ``control`` or, when
-    defended, the :func:`_defence_hooks`, and the step bound here: the
-    RHS's fused ``rhs.rk4_step``, or else this module's :func:`rk4_step`
-    on the RHS, the name the benchmark's trace wraps.
+    A flight of the generated RHS takes its generated :func:`_run_loop`;
+    any other RHS (a timer wrapped around it, say) flies the reference
+    path, :func:`~reentrysim.dynamics._drive` with the
+    :func:`_defence_hooks` of ``control``, and the step bound here: the
+    RHS's fused ``rhs.rk4_step``, or else this module's :func:`rk4_step` on
+    the RHS, the name the benchmark's trace wraps.
     """
     t0, y0, config = scenario.entry.t, scenario.entry.as_vector(), scenario.integrator
-    defence = () if missiles is None else (missiles, evasion, scenario.kill_radius)
-    run = _run_loop(rhs, "engage_run" if defence else "vehicle_run")
+    defence = (missiles, evasion, scenario.kill_radius)
+    run = _run_loop(rhs)
     try:
         if run is not None:
             end, t, y, samples, _ = run(rhs, control, t0, y0, config, sample_interval, *defence)
         else:
             step = getattr(rhs, "rk4_step", None) or partial(rk4_step, rhs)
-            command, after_step = (_defence_hooks(control, *defence, config.dt) if defence
-                                   else (control, None))
+            command, after_step = _defence_hooks(control, *defence, config.dt)
             end, t, y, samples, _ = _drive(step, command, t0, y0, config, sample_interval,
                                            after_step)
     except IntegrationAbort as abort:
         return _ended(control, abort.t, f"failed:{abort.reason}", failed=abort.reason)
     if end == "ground":
         err = math.hypot(y[0] - scenario.target[0], y[2])
-        miss = min((m.min_miss for m in missiles or ()), default=MISS_NONE)
+        miss = min((m.min_miss for m in missiles), default=MISS_NONE)
         return _ended(control, t, "touchdown", (y[0], y[2]), err, miss_distance=miss,
                       samples=tuple(samples))
     if end == "timeout":
@@ -758,8 +732,10 @@ def _step_miss(rx0, ry0, rx1, ry1, dt):
 
 
 def _defence_hooks(control, missiles, evasion, kill_radius, dt) -> tuple:
-    """The reference path's ``command`` and ``after_step`` of a defended run
-    for :func:`~reentrysim.dynamics._drive`, which ``engage_run`` inlines.
+    """The reference path's ``command`` and ``after_step`` of every run for
+    :func:`~reentrysim.dynamics._drive`, which ``run_loop`` inlines; with
+    no ``missiles`` and no ``evasion``, ``command`` is ``control``'s and
+    ``after_step`` ends nothing.
 
     ``command`` launches the missiles that are due, in site order, once
     ``t`` reaches the earliest pending launch, then applies ``control`` and,
@@ -870,10 +846,10 @@ def batch_run_results(scenario: Scenario, workers: int | None = None) -> tuple:
     and run, the runs fan out over a process pool; ``multiprocessing`` and
     ``numpy.random`` load only then, in this process before it forks, and
     the code the runs fly compiles here too (the vehicle kernel and
-    ``vehicle_run``, which launch planning's track also flies, and for a
-    defended scenario ``engage_run`` and each site's interceptor kernel), so
-    every worker starts with the generator module a noisy run draws from
-    and the code it flies.
+    ``run_loop``, which launch planning's track also flies, and for a
+    defended scenario each site's interceptor kernel), so every worker
+    starts with the generator module a noisy run draws from and the code it
+    flies.
     """
     jobs = [(scenario, i) for i in range(scenario.runs)]
     if workers is not None and workers > 1 and len(jobs) > 1:
@@ -883,8 +859,7 @@ def batch_run_results(scenario: Scenario, workers: int | None = None) -> tuple:
 
         g = scenario.integrator.g
         rhs = make_vehicle_rhs(scenario.vehicle, scenario.atmosphere, g)
-        for name in ("vehicle_run", "engage_run") if scenario.sites else ("vehicle_run",):
-            _run_loop(rhs, name)
+        _run_loop(rhs)
         for site in scenario.sites:
             make_interceptor_rhs(site.resolve_spec(), scenario.atmosphere, g)
 

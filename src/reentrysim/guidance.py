@@ -4,8 +4,8 @@ This module holds the guidance, seeker and evasion configurations and the
 evasion law.  The phase machine that applies the laws below, once per
 integration step over the raw state tuple, is ``_VehicleControl`` in
 :mod:`reentrysim.engagement`, which also makes the seeker-noise and
-turbulence draws; a vehicle-only run applies it inline, in the generated
-run loop pinned to it.
+turbulence draws; every run applies it inline, in the one generated run
+loop pinned to it.
 
 The commanded load factor U is produced by one law per phase:
 

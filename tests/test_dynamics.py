@@ -540,12 +540,11 @@ def test_a_nan_table_entry_never_reaches_a_kernel():
 KERNELS = Path(__file__).parent / "kernels"
 # the stock tables each kernel flies on, and the stages of a stock spec:
 # type 2's three, so the snapshots show a chain of seams; engagement's run
-# loops inline the vehicle kernel's step
+# loop inlines the vehicle kernel's step
 STOCK_DRAG = {"vehicle": vehicle_drag_model(), "interceptor": interceptor_drag_model(),
-              "profile": interceptor_drag_model(), "vehicle_run": vehicle_drag_model(),
-              "engage_run": vehicle_drag_model()}
+              "profile": interceptor_drag_model(), "run_loop": vehicle_drag_model()}
 STOCK_STAGES = {"vehicle": (), "interceptor": type2_spec().stages, "profile": type2_spec().stages,
-                "vehicle_run": (), "engage_run": ()}
+                "run_loop": ()}
 REWRITE = (
     "PYTHONPATH=src:tests python -c \"import test_dynamics as t; "
     "[(t.KERNELS / f'{n}.txt').write_text(t.stock_source(n)) for n in t.STOCK_DRAG]\""
@@ -553,7 +552,7 @@ REWRITE = (
 
 
 def stock_source(name):
-    source = _run_loop_source if name.endswith("_run") else _kernel_source
+    source = _run_loop_source if name == "run_loop" else _kernel_source
     return source(name, DEFAULT_ATMOSPHERE.vs_branches, STOCK_DRAG[name].segments,
                   tuple(stage[1] for stage in STOCK_STAGES[name]))
 
@@ -564,6 +563,17 @@ def test_generated_kernel_source_matches_its_snapshot(name):
     assert stock_source(name) == snapshot, (
         f"the generated {name} kernel changed; review the diff after rewriting the "
         f"snapshots from the repository root with:\n{REWRITE}"
+    )
+
+
+def test_every_snapshot_is_of_a_generated_kernel():
+    """A snapshot left behind by a kernel that is no longer generated fails
+    here, and so does a kernel without one."""
+    snapshots = sorted(path.stem for path in KERNELS.glob("*.txt"))
+    assert snapshots == sorted(STOCK_DRAG), (
+        f"tests/kernels/ holds {snapshots}, the generated kernels are {sorted(STOCK_DRAG)}; "
+        f"delete the stale snapshots and rewrite the rest from the repository root with:\n"
+        f"{REWRITE}"
     )
 
 
@@ -641,7 +651,7 @@ def test_a_calibrated_noise_batch_compiles_its_kernel_once():
     densities = {call.args[1].rho0 for call in built.call_args_list}
     assert len(densities) >= scenario.runs
     assert sorted(call.args[1].split()[2] for call in compiled.call_args_list) == [
-        "vehicle", "vehicle_run"]
+        "run_loop", "vehicle"]
 
 
 @pytest.mark.parametrize("calibrate", [interceptor.calibrate_type1, interceptor.calibrate_type2])

@@ -411,21 +411,27 @@ def _flown(sc, sample_interval=None):
 
 def _pinned(sc, sample_interval=None):
     """The runs of ``sc`` on the generated run loop, after checking that
-    their pickles equal the reference path's and that the loop called no
-    ``_VehicleControl``."""
-    call = engagement._VehicleControl.__call__
-    commands = []
+    their pickles equal the reference path's and that the loop called none
+    of what it inlines: ``_VehicleControl.__call__``,
+    ``_Missile.pn_command`` and ``_step_miss``."""
+    calls = Counter()
 
-    def spy(self, t, y):
-        commands.append(t)
-        return call(self, t, y)
+    def spy(owner, name):
+        method = getattr(owner, name)
 
-    with mock.patch.object(engagement._VehicleControl, "__call__", spy):
+        def counted(*args):
+            calls[name] += 1
+            return method(*args)
+
+        return mock.patch.object(owner, name, counted)
+
+    with spy(engagement._VehicleControl, "__call__"), spy(engagement._Missile, "pn_command"), \
+            spy(engagement, "_step_miss"):
         looped = _flown(sc, sample_interval)
-        assert not commands
+        assert not calls
         with mock.patch.object(engagement, "make_vehicle_rhs", _reference_rhs):
             driven = _flown(sc, sample_interval)
-        assert commands
+        assert calls["__call__"]
     assert pickle.dumps(looped) == pickle.dumps(driven)
     return looped
 
@@ -441,9 +447,10 @@ def _entry(rng, **changes):
 
 class TestRunLoop:
     """A vehicle-only run of the generated RHS takes the generated run
-    loop, ``_drive``, ``_VehicleControl`` and the fused step in one frame;
-    its results must pickle to the bytes of the reference path, which an RHS
-    without ``made_from`` takes.  The traps it keeps:
+    loop, ``_drive``, ``_VehicleControl`` and the fused step in one frame,
+    with no missiles and no evasion; its results must pickle to the bytes of
+    the reference path, which an RHS without ``made_from`` takes.  The traps
+    it keeps:
 
     - the draw adds ``0.0 + sigma * z``, so a -0.0 draw adds as +0.0;
     - seeker draws happen only where alpha is evaluated, at the gate and
@@ -743,43 +750,16 @@ def _launch_stalled(kind):
     return launch_stalled
 
 
-def _pinned_defence(sc):
-    """The runs of the defended ``sc`` on ``engage_run``, after checking
-    that their pickles equal the reference path's and that the loop called
-    none of what it inlines: ``_VehicleControl.__call__``,
-    ``_Missile.pn_command`` and ``_step_miss``."""
-    calls = Counter()
-
-    def spy(owner, name):
-        method = getattr(owner, name)
-
-        def counted(*args):
-            calls[name] += 1
-            return method(*args)
-
-        return mock.patch.object(owner, name, counted)
-
-    with spy(engagement._VehicleControl, "__call__"), spy(engagement._Missile, "pn_command"), \
-            spy(engagement, "_step_miss"):
-        looped = batch_run_results(sc)
-        assert not calls
-        with mock.patch.object(engagement, "make_vehicle_rhs", _reference_rhs):
-            driven = batch_run_results(sc)
-        assert calls["__call__"]
-    assert pickle.dumps(looped) == pickle.dumps(driven)
-    return looped
-
-
 def _labels(r):
     return [label for _, label in r.events]
 
 
 class TestEngageLoop:
-    """A defended run of the generated RHS takes ``engage_run``, the run
-    loop with the reference's launches, evasion override, PN, interceptor
-    steps, closest approach and kill test spliced in; its results must
-    pickle to the bytes of the reference path, ``_drive`` with the
-    ``_defence_hooks``, which an RHS without ``made_from`` takes."""
+    """A defended run of the generated RHS takes the same run loop, with
+    the reference's launches, evasion override, PN, interceptor steps,
+    closest approach and kill test inline; its results must pickle to the
+    bytes of the reference path, ``_drive`` with the ``_defence_hooks``,
+    which an RHS without ``made_from`` takes."""
 
     @pytest.mark.parametrize("seed", [0, 7, 11])
     @pytest.mark.parametrize("noise", [NoiseConfig(), CALIBRATED_NOISE],
@@ -788,7 +768,7 @@ class TestEngageLoop:
     @pytest.mark.parametrize("speed", cli.SWEEP_SPEEDS)
     def test_the_speed_sweep(self, speed, kind, noise, seed):
         base = replace(scenario_for_range(615_000), noise=noise, runs=4, seed=seed)
-        results = _pinned_defence(terminal_engagement_scenario(speed, kind, base=base))
+        results = _pinned(terminal_engagement_scenario(speed, kind, base=base))
         assert all(f"launch:{kind}" in _labels(r) for r in results)
 
     def test_the_evading_batch(self):
@@ -802,7 +782,7 @@ class TestEngageLoop:
             return command(self, *args)
 
         with mock.patch.object(engagement.EvasionController, "command", spy):
-            _pinned_defence(sc)
+            _pinned(sc)
         assert len(calls) > 1000
 
     @pytest.mark.parametrize("sites", [
@@ -813,13 +793,13 @@ class TestEngageLoop:
     def test_launch_site_orders(self, sites):
         base = replace(terminal_engagement_scenario(1000.0, "type-1"),
                        noise=CALIBRATED_NOISE, runs=4, seed=3)
-        for r in _pinned_defence(replace(base, sites=sites)):
+        for r in _pinned(replace(base, sites=sites)):
             assert sum(label.startswith("launch:") for label in _labels(r)) == 2
 
     def test_an_unreachable_site(self):
         sc = replace(scenario_for_range(615_000), noise=CALIBRATED_NOISE, runs=2, seed=11,
                      sites=(InterceptorSite(x=300_000.0, kind="type-1"),))
-        for r in _pinned_defence(sc):
+        for r in _pinned(sc):
             assert r.touchdown is not None and r.miss_distance == MISS_NONE
             assert not any(label.startswith("launch:") for label in _labels(r))
 
@@ -837,7 +817,7 @@ class TestEngageLoop:
             return step_miss(*args)
 
         with mock.patch.object(engagement, "_step_miss", spy):
-            (r,) = _pinned_defence(sc)
+            (r,) = _pinned(sc)
         assert len(misses) == 2 and max(misses) < sc.kill_radius
         assert r.intercepted and r.miss_distance == misses[1] < misses[0]
         assert _labels(r)[-3:] == ["launch:type-1", "launch:type-2", "intercept:type-2"]
@@ -847,7 +827,7 @@ class TestEngageLoop:
         sc = replace(terminal_engagement_scenario(1000.0, "type-1"), noise=CALIBRATED_NOISE,
                      runs=4, seed=3, sites=(TestEngagement.TYPE1_TIED, TestEngagement.TYPE2))
         with mock.patch.object(engagement._Missile, "launch", _launch_stalled("type-1")):
-            results = _pinned_defence(sc)
+            results = _pinned(sc)
         for r in results:
             labels = _labels(r)
             assert labels[labels.index("launch:type-2") + 1] == (
@@ -863,7 +843,7 @@ class TestEngageLoop:
                      sites=(InterceptorSite(x=21_000.0, kind="type-1"),))
         with mock.patch.object(engagement, "_nominal_track", lambda quiet: ()), \
                 mock.patch.object(engagement, "launch_decision", lambda *args: LaunchPlan(0.5, 1.0)):
-            (r,) = _pinned_defence(sc)
+            (r,) = _pinned(sc)
         assert r.failed == "speed below guard (1/v singular)"
         assert r.events[1:] == ((0.5, "launch:type-1"),
                                 (r.flight_time, "failed:speed below guard (1/v singular)"))
@@ -876,14 +856,14 @@ class TestEngageLoop:
                                                   runs=1))
         sc = replace(base, integrator=replace(base.integrator, t_max=15.0))
         with mock.patch.object(engagement, "_nominal_track", lambda quiet: track):
-            for r in _pinned_defence(sc):
+            for r in _pinned(sc):
                 assert r.failed == "timeout" and r.flight_time == 15.0
                 assert _labels(r)[-2:] == ["launch:type-1", "failed:timeout"]
 
     def test_an_entry_after_t_0(self):
         base = replace(terminal_engagement_scenario(1400.0, "type-2"), noise=CALIBRATED_NOISE,
                        runs=4, seed=3)
-        results = _pinned_defence(replace(base, entry=replace(base.entry, t=1.3)))
+        results = _pinned(replace(base, entry=replace(base.entry, t=1.3)))
         assert any(r.intercepted for r in results)
 
 
@@ -1032,15 +1012,14 @@ class TestBatch:
 
     def test_the_parent_compiles_the_kernel_and_run_loop_before_forking(self):
         """So every forked worker inherits what its runs fly instead of
-        compiling it: the vehicle kernel and ``vehicle_run``, which launch
-        planning's track flies too, and for a defended scenario
-        ``engage_run`` and each site's interceptor kernel (type 1's and
-        type 2's stage seams differ)."""
+        compiling it: the vehicle kernel and ``run_loop``, which launch
+        planning's track flies too, and for a defended scenario each site's
+        interceptor kernel (type 1's and type 2's stage seams differ)."""
         for sc, compiled in [
             (replace(scenario_for_range(615_000), runs=2, seed=3),
-             {"vehicle": 1, "vehicle_run": 1}),
+             {"vehicle": 1, "run_loop": 1}),
             (replace(DEFENDED_X800, runs=2, seed=3),
-             {"vehicle": 1, "vehicle_run": 1, "engage_run": 1, "interceptor": 2}),
+             {"vehicle": 1, "run_loop": 1, "interceptor": 2}),
         ]:
             at_fork = Counter()
 
