@@ -1,11 +1,12 @@
 """Monte Carlo layer: noise injection, single runs, batches and sweeps.
 
-A Scenario is plain frozen data, so batches can fan out across processes
-and still reproduce byte for byte: run i draws only from substream i of
-the scenario seed, and results fold in index order regardless of worker
+A Scenario is plain frozen data, so ``_run_jobs``, the one runner that flies
+the (scenario, i) jobs of every batch and sweep, can fan them out across
+processes and still reproduce byte for byte: run i draws only from substream
+i of its scenario's seed, and results fold in index order for any worker
 count.  Three noise channels ride separate substreams per run (density
-multiplier, load-factor turbulence, seeker boresight), which keeps the
-draw sequences aligned across scenario variants sharing a seed.
+multiplier, load-factor turbulence, seeker boresight), which keeps the draw
+sequences aligned across scenario variants sharing a seed.
 
 ``_fly`` flies every run and turns its step loop's end into a run result.
 Every run takes one generated loop, ``run_loop`` (``_run_loop_source``):
@@ -130,15 +131,15 @@ class GaussianStream:
         return mu + sigma * z
 
 
-def _index(name: str, value) -> int:
-    """``value`` as a non-negative int; a float or other non-integral
-    value is an error, not truncated."""
+def _index(name: str, value, low: int = 0, error=DomainError) -> int:
+    """``value`` as an int >= ``low``, else ``error``; a float or other
+    non-integral value is an error, not truncated."""
     try:
         value = operator.index(value)
     except TypeError:
-        raise DomainError(f"{name} must be an integer, got {value!r}") from None
-    if value < 0:
-        raise DomainError(f"{name} must be >= 0, got {value}")
+        raise error(f"{name} must be an integer, got {value!r}") from None
+    if value < low:
+        raise error(f"{name} must be >= {low}, got {value}")
     return value
 
 
@@ -190,15 +191,8 @@ class Scenario:
     kill_radius: float = field(default=10.0, metadata=POSITIVE)  # m, a closer approach intercepts
 
     def __post_init__(self):
-        for name in ("seed", "runs"):  # stored as int, so the manifest can write them
-            try:
-                object.__setattr__(self, name, operator.index(getattr(self, name)))
-            except TypeError:
-                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
-        if self.runs < 1:
-            raise ConfigError(f"runs must be >= 1, got {self.runs}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        for name, low in (("seed", 0), ("runs", 1)):  # stored as int, for the manifest
+            object.__setattr__(self, name, _index(name, getattr(self, name), low, ConfigError))
         check_ranges(self)
         if len(self.target) != 2 or not all(map(math.isfinite, self.target)):
             raise ConfigError(f"target must be a finite (x, y) pair, got {self.target}")
@@ -633,9 +627,9 @@ def simulate_vehicle_run(
     """Fly the vehicle alone: guidance phases, noise, touchdown statistics.
 
     ``stream`` defaults to substream 0 of the scenario seed, which is what
-    monte_carlo_batch uses for run 0.  With ``sample_interval`` set, the
-    result carries (t, state, u) rows at that cadence plus the terminal
-    row.
+    the batch runner, :func:`_run_jobs`, uses for run 0.  With
+    ``sample_interval`` set, the result carries (t, state, u) rows at that
+    cadence plus the terminal row.
     """
     if stream is None:
         stream = GaussianStream(scenario.seed).substream(0)
@@ -838,36 +832,40 @@ def _run_indexed(args) -> RunResult:
     return simulate_vehicle_run(scenario, stream)
 
 
-def batch_run_results(scenario: Scenario, workers: int | None = None) -> tuple:
-    """Per-run results for scenario.runs independent runs, in run order.
-
-    Run i draws from substream i of the scenario seed, so the result
-    tuple is reproducible for any worker count.  With more than one worker
-    and run, the runs fan out over a process pool; ``multiprocessing`` and
-    ``numpy.random`` load only then, in this process before it forks, and
-    the code the runs fly compiles here too (the vehicle kernel and
-    ``run_loop``, which launch planning's track also flies, and for a
-    defended scenario each site's interceptor kernel), so every worker
-    starts with the generator module a noisy run draws from and the code it
-    flies.
-    """
-    jobs = [(scenario, i) for i in range(scenario.runs)]
+def _run_jobs(scenarios, workers: int | None = None) -> tuple:
+    """Per-run results of each scenario, one tuple per scenario in run
+    order: the jobs are (scenario, i) in scenario order and run i draws from
+    substream i of its scenario's seed, so any worker count gives the same
+    results.  With more than one worker and job, they fan out over one pool;
+    only then, before the fork, does this process load ``multiprocessing``
+    and ``numpy.random`` and compile each scenario's vehicle kernel,
+    ``run_loop`` and site interceptor kernels, so every worker inherits them."""
+    if workers is not None:
+        workers = _index("workers", workers, 1, ConfigError)
+    jobs = [(sc, i) for sc in scenarios for i in range(sc.runs)]
     if workers is not None and workers > 1 and len(jobs) > 1:
         from multiprocessing import Pool
 
         import numpy.random  # noqa: F401  (the forked workers inherit it)
 
-        g = scenario.integrator.g
-        rhs = make_vehicle_rhs(scenario.vehicle, scenario.atmosphere, g)
-        _run_loop(rhs)
-        for site in scenario.sites:
-            make_interceptor_rhs(site.resolve_spec(), scenario.atmosphere, g)
-
+        for sc in scenarios:
+            _run_loop(make_vehicle_rhs(sc.vehicle, sc.atmosphere, sc.integrator.g))
+            for site in sc.sites:
+                make_interceptor_rhs(site.resolve_spec(), sc.atmosphere, sc.integrator.g)
         with Pool(processes=min(workers, len(jobs))) as pool:
-            results = pool.map(_run_indexed, jobs, chunksize=max(1, len(jobs) // (4 * workers)))
+            runs = iter(pool.map(_run_indexed, jobs, chunksize=max(1, len(jobs) // (4 * workers))))
     else:
-        results = [_run_indexed(job) for job in jobs]
-    return tuple(results)
+        runs = map(_run_indexed, jobs)
+    return tuple(tuple(next(runs) for _ in range(sc.runs)) for sc in scenarios)
+
+
+def batch_run_results(scenario: Scenario, workers: int | None = None) -> tuple:
+    """Per-run results for scenario.runs independent runs, in run order.
+
+    Run i draws from substream i of the scenario seed, so the result
+    tuple is reproducible for any worker count; with more than one worker
+    and run, the runs fan out over a process pool (:func:`_run_jobs`)."""
+    return _run_jobs((scenario,), workers)[0]
 
 
 def monte_carlo_batch(scenario: Scenario, workers: int | None = None) -> BatchStatistics:
@@ -926,11 +924,11 @@ def error_vs_navigation_sweep(base_scenario: Scenario, ranges) -> tuple:
 
     if not ranges:
         raise ConfigError("ranges must be non-empty")
+    xs = sorted(ranges)
     rows = []
-    for x in sorted(ranges):
-        scenario = scenario_for_range(x, base=base_scenario)
+    for x, results in zip(xs, _run_jobs([scenario_for_range(x, base=base_scenario) for x in xs])):
         try:
-            stats = monte_carlo_batch(scenario)
+            stats = summarize(results)
         except BatchError as err:
             rows.append(SweepRow(x, math.nan, math.nan, str(err)))
             continue
@@ -964,12 +962,9 @@ def probability_vs_speed_sweep(base_scenario: Scenario, speeds) -> tuple:
     for v in speeds:
         if not lo <= v <= hi:
             raise DomainError(f"speed {v} outside sweep envelope [{lo}, {hi}]")
-    rows = []
-    for v in sorted(speeds):
-        estimates = {}
-        for kind in ("type-1", "type-2"):
-            scenario = terminal_engagement_scenario(v, kind, base=base_scenario)
-            stats = monte_carlo_batch(scenario)
-            estimates[kind] = (stats.p_intercept, stats.p_stderr)
-        rows.append(SpeedRow(v, *estimates["type-1"], *estimates["type-2"]))
-    return tuple(rows)
+    speeds = sorted(speeds)
+    stats = [summarize(results) for results in _run_jobs([
+        terminal_engagement_scenario(v, kind, base=base_scenario)
+        for v in speeds for kind in ("type-1", "type-2")])]
+    return tuple(SpeedRow(v, one.p_intercept, one.p_stderr, two.p_intercept, two.p_stderr)
+                 for v, one, two in zip(speeds, stats[::2], stats[1::2]))

@@ -17,6 +17,8 @@ from reentrysim.engagement import (
     MISS_NONE,
     NoiseConfig,
     RunResult,
+    SpeedRow,
+    SweepRow,
     batch_run_results,
     error_vs_navigation_sweep,
     monte_carlo_batch,
@@ -409,12 +411,33 @@ def _flown(sc, sample_interval=None):
                  for i in range(sc.runs))
 
 
+def _recording_interceptor_rhs(rows):
+    """``make_interceptor_rhs`` with the fused step of each RHS it makes
+    wrapped to record every ``(ts, s, u)`` a missile step is handed."""
+
+    def make(*args, **kwargs):
+        rhs = dynamics.make_interceptor_rhs(*args, **kwargs)
+        step = rhs.rk4_step
+
+        def recorded(ts, s, u, dt):
+            rows.append((ts, s, u))
+            return step(ts, s, u, dt)
+
+        rhs.rk4_step = recorded
+        return rhs
+
+    return make
+
+
 def _pinned(sc, sample_interval=None):
     """The runs of ``sc`` on the generated run loop, after checking that
-    their pickles equal the reference path's and that the loop called none
-    of what it inlines: ``_VehicleControl.__call__``,
-    ``_Missile.pn_command`` and ``_step_miss``."""
+    their pickles, and the ``(ts, s, u)`` of every missile step they take,
+    equal the reference path's, and that the loop called none of what it
+    inlines: ``_VehicleControl.__call__``, ``_Missile.pn_command`` and
+    ``_step_miss``.  A PN command that differs in its last bit is seen in
+    the step rows even where it never reaches the end state."""
     calls = Counter()
+    looped_steps, driven_steps = [], []
 
     def spy(owner, name):
         method = getattr(owner, name)
@@ -425,13 +448,18 @@ def _pinned(sc, sample_interval=None):
 
         return mock.patch.object(owner, name, counted)
 
+    def steps(rows):
+        return mock.patch.object(engagement, "make_interceptor_rhs", _recording_interceptor_rhs(rows))
+
     with spy(engagement._VehicleControl, "__call__"), spy(engagement._Missile, "pn_command"), \
             spy(engagement, "_step_miss"):
-        looped = _flown(sc, sample_interval)
+        with steps(looped_steps):
+            looped = _flown(sc, sample_interval)
         assert not calls
-        with mock.patch.object(engagement, "make_vehicle_rhs", _reference_rhs):
+        with mock.patch.object(engagement, "make_vehicle_rhs", _reference_rhs), steps(driven_steps):
             driven = _flown(sc, sample_interval)
         assert calls["__call__"]
+    assert pickle.dumps(looped_steps) == pickle.dumps(driven_steps)
     assert pickle.dumps(looped) == pickle.dumps(driven)
     return looped
 
@@ -907,6 +935,14 @@ class TestLazyReachTables:
         assert run_pickles(batch_run_results(sc, workers=1)) == parallel == cold
 
 
+def _inline_pool(**kwargs):
+    """A mock ``multiprocessing.Pool`` whose ``map`` runs the jobs here, in order."""
+    pool = mock.MagicMock(**kwargs)
+    pool.return_value.__enter__.return_value.map.side_effect = (
+        lambda fn, jobs, chunksize: [fn(job) for job in jobs])
+    return pool
+
+
 class TestBatch:
     def test_single_run_batch_matches_the_direct_call(self):
         sc = replace(scenario_for_range(615_000), noise=CALIBRATED_NOISE, runs=1, seed=5)
@@ -1000,13 +1036,12 @@ class TestBatch:
     @pytest.mark.parametrize("runs, workers", [(2, 64), (3, 2)])
     def test_pool_never_outnumbers_the_runs(self, runs, workers):
         sc = replace(scenario_for_range(615_000), runs=runs, seed=3)
-        pool = mock.MagicMock()
-        pool_map = pool.return_value.__enter__.return_value.map
-        pool_map.side_effect = lambda fn, jobs, chunksize: [fn(job) for job in jobs]
+        pool = _inline_pool()
         with mock.patch("multiprocessing.Pool", pool):
             pooled = batch_run_results(sc, workers=workers)
         pool.assert_called_once_with(processes=min(runs, workers))
         # the chunk size is the one the uncapped worker count gave
+        pool_map = pool.return_value.__enter__.return_value.map
         assert pool_map.call_args.kwargs == {"chunksize": max(1, runs // (4 * workers))}
         assert pickle.dumps(pooled) == pickle.dumps(batch_run_results(sc))
 
@@ -1014,26 +1049,62 @@ class TestBatch:
         """So every forked worker inherits what its runs fly instead of
         compiling it: the vehicle kernel and ``run_loop``, which launch
         planning's track flies too, and for a defended scenario each site's
-        interceptor kernel (type 1's and type 2's stage seams differ)."""
-        for sc, compiled in [
-            (replace(scenario_for_range(615_000), runs=2, seed=3),
-             {"vehicle": 1, "run_loop": 1}),
-            (replace(DEFENDED_X800, runs=2, seed=3),
-             {"vehicle": 1, "run_loop": 1, "interceptor": 2}),
+        interceptor kernel (type 1's and type 2's stage seams differ), for
+        every scenario of one runner call, not only the first."""
+        x615 = replace(scenario_for_range(615_000), runs=2, seed=3)
+        defended = replace(DEFENDED_X800, runs=2, seed=3)
+        for scenarios, compiled in [
+            ((x615,), {"vehicle": 1, "run_loop": 1}),
+            ((defended,), {"vehicle": 1, "run_loop": 1, "interceptor": 2}),
+            ((x615, defended), {"vehicle": 1, "run_loop": 1, "interceptor": 2}),
         ]:
-            at_fork = Counter()
+            at_fork = set()
 
             def fork(processes):
-                at_fork.update(key[0] for key in dynamics._FACTORIES)
+                at_fork.update(dynamics._FACTORIES)
                 return mock.DEFAULT
 
-            pool = mock.MagicMock(side_effect=fork)
-            pool_map = pool.return_value.__enter__.return_value.map
-            pool_map.side_effect = lambda fn, jobs, chunksize: [fn(job) for job in jobs]
+            pool = _inline_pool(side_effect=fork)
             with mock.patch.dict(dynamics._FACTORIES, clear=True), \
                     mock.patch("multiprocessing.Pool", pool):
-                batch_run_results(sc, workers=2)
-            assert at_fork == compiled
+                if len(scenarios) == 1:
+                    batch_run_results(scenarios[0], workers=2)
+                else:
+                    engagement._run_jobs(scenarios, workers=2)
+                flown = set(dynamics._FACTORIES)
+            assert Counter(key[0] for key in at_fork) == compiled
+            # nothing the runs fly compiled after the fork; only launch
+            # planning's reach tables, which build lazily, may compile then
+            assert at_fork == {key for key in flown if key[0] != "profile"}
+
+    @pytest.mark.parametrize("workers", [0, -3, 2.5])
+    def test_workers_must_be_an_integer_of_at_least_one(self, workers):
+        """2.5 used to fail inside ``multiprocessing`` with a TypeError, and
+        0 or -3 ran serially without a word."""
+        sc = replace(scenario_for_range(615_000), runs=4)
+        with mock.patch("multiprocessing.Pool") as pool, \
+                mock.patch.object(engagement, "simulate_vehicle_run") as run, \
+                pytest.raises(ConfigError, match="workers must be"):
+            monte_carlo_batch(sc, workers=workers)
+        assert not pool.called and not run.called
+
+    def test_one_runner_call_equals_separate_batches(self):
+        """Unequal batch sizes, one of them defended, in one job list: each
+        scenario gets its own runs back, in run order, serially and pooled."""
+        scenarios = (
+            replace(scenario_for_range(615_000), noise=CALIBRATED_NOISE, runs=1, seed=7),
+            replace(DEFENDED_X800, noise=CALIBRATED_NOISE, runs=3, seed=7),
+            replace(scenario_for_range(950_000), noise=CALIBRATED_NOISE, runs=2, seed=4),
+        )
+        separate = [run_pickles(batch_run_results(sc)) for sc in scenarios]
+        pool = _inline_pool()
+        with mock.patch("multiprocessing.Pool", pool):
+            pooled = engagement._run_jobs(scenarios, workers=2)
+        pool.assert_called_once_with(processes=2)
+        serial = engagement._run_jobs(scenarios)
+        assert [len(results) for results in serial] == [1, 3, 2]
+        assert [run_pickles(results) for results in serial] == separate
+        assert [run_pickles(results) for results in pooled] == separate
 
     def test_summary_against_a_hand_count(self):
         def run(err, intercepted=False, failed=None, nav=20.0, launched=False):
@@ -1121,6 +1192,50 @@ class TestSweeps:
             range_preset(range_m)
         with pytest.raises(ConfigError, match="no preset for range"):
             error_vs_navigation_sweep(scenario_for_range(615_000), [range_m])
+
+    def test_a_range_without_a_preset_fails_before_any_run(self):
+        """The 615 km batch used to fly before 700 km raised."""
+        base = replace(scenario_for_range(615_000), runs=2)
+        with mock.patch.object(engagement, "simulate_vehicle_run",
+                               wraps=engagement.simulate_vehicle_run) as run, \
+                pytest.raises(ConfigError, match="no preset for range 700000"):
+            error_vs_navigation_sweep(base, [615_000, 700_000])
+        assert not run.called
+
+    @pytest.mark.parametrize("sweep, points, workers, jobs", [
+        (error_vs_navigation_sweep, (800_000, 615_000), 64, 4),
+        (probability_vs_speed_sweep, (1600.0, 1200.0), 3, 8),
+    ], ids=["error", "speed"])
+    def test_a_sweep_hands_all_its_runs_to_one_pool(self, sweep, points, workers, jobs):
+        base = replace(scenario_for_range(615_000), noise=CALIBRATED_NOISE, runs=2, seed=5)
+        run_jobs = engagement._run_jobs
+        pool = _inline_pool()
+        with mock.patch.object(engagement, "_run_jobs",
+                               lambda scenarios: run_jobs(scenarios, workers=workers)), \
+                mock.patch("multiprocessing.Pool", pool):
+            pooled = sweep(base, points)
+        pool.assert_called_once_with(processes=min(workers, jobs))
+        pool_map = pool.return_value.__enter__.return_value.map
+        assert len(pool_map.call_args.args[1]) == jobs  # the sweep's every job
+        assert pickle.dumps(pooled) == pickle.dumps(sweep(base, points))
+
+    def test_error_sweep_rows_equal_one_batch_per_preset(self):
+        base = replace(scenario_for_range(615_000), noise=CALIBRATED_NOISE, runs=3, seed=7)
+        rows = []
+        for x in PRESET_RANGES:
+            stats = monte_carlo_batch(scenario_for_range(x, base=base))
+            rows.append(SweepRow(x, stats.nav_time_mean, stats.max_error))
+        assert pickle.dumps(error_vs_navigation_sweep(base, PRESET_RANGES)) == pickle.dumps(tuple(rows))
+
+    def test_speed_sweep_rows_equal_one_batch_per_speed_and_type(self):
+        base = replace(scenario_for_range(615_000), noise=CALIBRATED_NOISE, runs=3, seed=7)
+        rows = []
+        for v in sorted(cli.SWEEP_SPEEDS):
+            one, two = (monte_carlo_batch(terminal_engagement_scenario(v, kind, base=base))
+                        for kind in ("type-1", "type-2"))
+            rows.append(SpeedRow(v, one.p_intercept, one.p_stderr, two.p_intercept, two.p_stderr))
+        assert (pickle.dumps(probability_vs_speed_sweep(base, cli.SWEEP_SPEEDS))
+                == pickle.dumps(tuple(rows)))
 
     def test_speed_sweep_envelope(self):
         base = replace(scenario_for_range(615_000), runs=2)
